@@ -22,7 +22,6 @@ from .permutation import (
     FamilyTestResult,
     PermutationConfig,
     PointwiseTest,
-    draw_relabeling,
     family_stat,
     westfall_young,
     westfall_young_all,

@@ -197,7 +197,6 @@ def cmd_decide(args):
     curr = _load_calibrated(args.curr_dir, flat=args.flat, skip=args.no_calibrate)
     grid = default_grid(m=args.grid_size, s_max=args.s_max, tau=args.tau)
     cfg = DecisionConfig(
-        tau=args.tau,
         alpha=args.alpha,
         perm=PermutationConfig(n_permutations=args.permutations,
                                seed=args.seed, exhaustive=args.exhaustive),

@@ -9,7 +9,9 @@ alpha / 3 and marginally significant up to 2 * alpha / 3.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+
+import numpy as np
 
 from .permutation import (
     FamilyTestResult,
@@ -36,7 +38,6 @@ _FAMILY_VERDICTS = {
 
 @dataclass
 class DecisionConfig:
-    tau: float = 0.25
     alpha: float = 0.1
     perm: PermutationConfig = field(default_factory=PermutationConfig)
     grid: QuantileGrid = field(default_factory=default_grid)
@@ -46,8 +47,6 @@ class DecisionConfig:
     finest_tool: bool = False
 
     def __post_init__(self):
-        if not (0 < self.tau < 0.5):
-            raise ValueError("tau must lie in (0, 0.5)")
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
 
@@ -142,24 +141,15 @@ def _version():
     return __version__
 
 
-def _family_cfg(cfg, offset):
-    # the three families must not share permutation streams
-    return PermutationConfig(
-        n_permutations=cfg.perm.n_permutations,
-        seed=cfg.perm.seed ^ offset,
-        exhaustive=cfg.perm.exhaustive,
-    )
-
-
 def test_upper_tail(prev, curr, cfg):
     """Mean test for the upper tail: are the peaks being flattened?
 
     H1: mu_prev(s) > mu_curr(s) for all s <= tau, maxP-combined,
     Westfall-Young corrected.
     """
-    domain = prev.grid.points <= cfg.tau
     test = PointwiseTest(kind="mean", direction="greater", pooled=cfg.pooled)
-    return westfall_young(prev, curr, test, "maxP", _family_cfg(cfg, 0), domain)
+    # the families must not share permutation streams: seed, seed ^ 1, seed ^ 2
+    return westfall_young(prev, curr, test, "maxP", cfg.perm, cfg.grid.upper_tail_mask())
 
 
 def test_lower_tail(prev, curr, cfg):
@@ -168,9 +158,9 @@ def test_lower_tail(prev, curr, cfg):
     H1: mu_prev(s) < mu_curr(s) for all s >= 1 - tau.  The grid's s_max
     already excludes the extreme-depth valley pixels.
     """
-    domain = prev.grid.points >= 1.0 - cfg.tau
     test = PointwiseTest(kind="mean", direction="less", pooled=cfg.pooled)
-    return westfall_young(prev, curr, test, "maxP", _family_cfg(cfg, 1), domain)
+    perm = replace(cfg.perm, seed=cfg.perm.seed ^ 1)
+    return westfall_young(prev, curr, test, "maxP", perm, cfg.grid.lower_tail_mask())
 
 
 def test_variance(prev, curr, cfg):
@@ -180,7 +170,8 @@ def test_variance(prev, curr, cfg):
     medP-combined.
     """
     test = PointwiseTest(kind="variance")
-    return westfall_young(prev, curr, test, "medP", _family_cfg(cfg, 2), None)
+    perm = replace(cfg.perm, seed=cfg.perm.seed ^ 2)
+    return westfall_young(prev, curr, test, "medP", perm, None)
 
 
 def band_p_value(p, alpha):
@@ -224,7 +215,12 @@ def recommend(overall, cfg):
 
 
 def decide(prev, curr, cfg):
-    """Run the three family tests and assemble the decision record."""
+    """Run the three family tests and assemble the decision record.
+
+    Both samples must be evaluated on ``cfg.grid``; its tau sets the tails.
+    """
+    if not all(np.array_equal(s.grid.points, cfg.grid.points) for s in (prev, curr)):
+        raise ValueError("stage samples are not evaluated on the configured grid")
     results = {
         "upper_tail": test_upper_tail(prev, curr, cfg),
         "lower_tail": test_lower_tail(prev, curr, cfg),
@@ -234,13 +230,8 @@ def decide(prev, curr, cfg):
     for name, res in results.items():
         band = band_p_value(res.corrected_p, cfg.alpha)
         # store 6-significant-digit values so save -> load is the identity
-        rounded = FamilyTestResult(
-            observed_stat=_sig6(res.observed_stat),
-            corrected_p=_sig6(res.corrected_p),
-            stat_kind=res.stat_kind,
-            n_used=res.n_used,
-            degenerate_points=res.degenerate_points,
-        )
+        rounded = replace(res, observed_stat=_sig6(res.observed_stat),
+                          corrected_p=_sig6(res.corrected_p))
         outcomes[name] = FamilyOutcome(result=rounded, verdict=_verdict(name, band))
     overall = combine_families(
         results["upper_tail"].corrected_p,
@@ -251,7 +242,7 @@ def decide(prev, curr, cfg):
     provenance = {
         "seed": cfg.perm.seed,
         "n_permutations": cfg.perm.n_permutations,
-        "tau": cfg.tau,
+        "tau": cfg.grid.tau,
         "alpha": cfg.alpha,
         "m": cfg.grid.m,
         "s_max": cfg.grid.s_max,

@@ -8,6 +8,7 @@ the observed family statistic within its permutation null distribution.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -20,7 +21,8 @@ from .statcore import (
     welch_mean_p,
 )
 
-FAMILY_KINDS = ("minP", "maxP", "medP")
+_REDUCE = {"minP": np.min, "maxP": np.max, "medP": np.median}
+FAMILY_KINDS = tuple(_REDUCE)
 
 # relabelings are drawn in fixed-size blocks; block k is keyed by
 # (seed, k) so a run is reproducible regardless of execution order
@@ -72,51 +74,32 @@ def family_stat(p, kind):
     median of an even count is the mean of the two middle order
     statistics.
     """
-    if kind not in FAMILY_KINDS:
+    if kind not in _REDUCE:
         raise ValueError(f"unknown family statistic {kind!r}")
     values = p.masked if isinstance(p, PointwisePValues) else np.asarray(p, dtype=float)
     if values.size == 0:
         raise ValueError("empty p-value family")
-    if kind == "minP":
-        return float(values.min())
-    if kind == "maxP":
-        return float(values.max())
-    return float(np.median(values))
-
-
-def draw_relabeling(rng, j1, j2):
-    """Uniform random assignment of j1 of the j1+j2 curves to group 1.
-
-    Returns a boolean membership vector of length j1+j2.
-    """
-    if j1 < 1 or j2 < 1:
-        raise ValueError("both groups must be nonempty")
-    u = rng.random(j1 + j2)
-    members = np.zeros(j1 + j2, dtype=bool)
-    members[np.argsort(u, kind="stable")[:j1]] = True
-    return members
+    return float(_REDUCE[kind](values))
 
 
 def _block_rng(seed, block):
     return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), block]))
 
 
+def _members(picks, j_total):
+    """Boolean membership rows; row i puts curves ``picks[i]`` in group 1."""
+    members = np.zeros((len(picks), j_total), dtype=bool)
+    np.put_along_axis(members, picks, True, axis=1)
+    return members
+
+
 def _batch_relabelings(seed, start, count, j_total, j1):
     """Membership matrix for permutations [start, start+count)."""
-    rows = []
-    b0 = start // _DRAW_BLOCK
-    b1 = (start + count - 1) // _DRAW_BLOCK
-    for block in range(b0, b1 + 1):
-        rng = _block_rng(seed, block)
-        u = rng.random((_DRAW_BLOCK, j_total))
-        lo = max(start, block * _DRAW_BLOCK) - block * _DRAW_BLOCK
-        hi = min(start + count, (block + 1) * _DRAW_BLOCK) - block * _DRAW_BLOCK
-        rows.append(u[lo:hi])
-    u = np.concatenate(rows, axis=0)
-    order = np.argsort(u, axis=1, kind="stable")
-    members = np.zeros((count, j_total), dtype=bool)
-    np.put_along_axis(members, order[:, :j1], True, axis=1)
-    return members
+    blocks = range(start // _DRAW_BLOCK, (start + count - 1) // _DRAW_BLOCK + 1)
+    u = np.concatenate([_block_rng(seed, b).random((_DRAW_BLOCK, j_total)) for b in blocks])
+    lo = start - blocks[0] * _DRAW_BLOCK
+    order = np.argsort(u[lo:lo + count], axis=1, kind="stable")
+    return _members(order[:, :j1], j_total)
 
 
 def _batch_pvalues(xd, members, j1, j2, test):
@@ -139,7 +122,7 @@ def _batch_pvalues(xd, members, j1, j2, test):
     var2 = np.clip((q2 - s2 * mean2) / (j2 - 1), 0.0, None)
     # the matmul moments leave cancellation residue when curves coincide;
     # snap sub-roundoff variances and mean gaps to exact zero so the
-    # degenerate-point policy can fire
+    # degenerate-point convention can fire
     scale = q_tot / (j1 + j2)
     vtol = 1e-10 * scale
     var1 = np.where(var1 <= vtol, 0.0, var1)
@@ -151,12 +134,31 @@ def _batch_pvalues(xd, members, j1, j2, test):
     return variance_f_p(var1, j1, var2, j2)
 
 
-def _permutation_reductions(g1, g2, test, cfg, domain=None):
-    """Observed and permuted family statistics for all three reductions.
+def _block_counts(xd, members, j1, j2, test, cut):
+    """Per kind, how many relabelings in the block reduce to <= ``cut``.
 
-    Returns ``(observed, counts, n_used, degenerate_points)`` where
-    ``observed`` and ``counts`` are dicts keyed by family kind and
-    ``counts[k]`` is the number of permuted statistics <= observed.
+    A function of its own so each block's p matrix is freed before the
+    next block is drawn.
+    """
+    p, _ = _batch_pvalues(xd, members, j1, j2, test)
+    return {k: int(np.count_nonzero(f(p, axis=1) <= cut[k])) for k, f in _REDUCE.items()}
+
+
+def westfall_young_all(g1, g2, test, cfg, domain=None):
+    """All three family reductions from a single permutation pass.
+
+    Parameters
+    ----------
+    g1, g2 : StageSample or (J, m) array
+    test : PointwiseTest
+    cfg : PermutationConfig
+    domain : bool array over the grid, optional
+
+    Returns
+    -------
+    dict mapping each of FAMILY_KINDS to a FamilyTestResult.  The
+    corrected p is the share of relabelings whose family statistic is
+    <= the observed one.
     """
     x1 = _as_curves(g1)
     x2 = _as_curves(g2)
@@ -172,100 +174,50 @@ def _permutation_reductions(g1, g2, test, cfg, domain=None):
     xd = np.vstack([x1, x2])[:, mask]
     j_total = j1 + j2
 
-    identity = np.zeros((1, j_total), dtype=bool)
-    identity[0, :j1] = True
-    p_obs, deg = _batch_pvalues(xd, identity, j1, j2, test)
-    observed = {
-        "minP": float(p_obs.min()),
-        "maxP": float(p_obs.max()),
-        "medP": float(np.median(p_obs, axis=1)[0]),
-    }
+    p_obs, deg = _batch_pvalues(xd, _members(np.arange(j1)[None], j_total), j1, j2, test)
+    observed = {k: float(f(p_obs[0])) for k, f in _REDUCE.items()}
 
-    n_planned = comb(j_total, j1) if cfg.exhaustive else cfg.n_permutations
+    n_used = comb(j_total, j1) if cfg.exhaustive else cfg.n_permutations
     if bool(np.all(deg)):
         # the groups coincide at every tested point: there is no evidence
         # for any one-sided alternative, so the corrected p is 1 rather
         # than the rank of the all-0.5 vector among mixed relabelings
-        return observed, dict.fromkeys(FAMILY_KINDS, n_planned), n_planned, int(deg.size)
-
-    counts = dict.fromkeys(FAMILY_KINDS, 0)
-    # ties count as <=; the tolerance absorbs ulp-level drift between the
-    # batched and single-row BLAS paths
-    cut = {k: v + 1e-12 + 1e-9 * v for k, v in observed.items()}
-
-    def tally(members):
-        p, _ = _batch_pvalues(xd, members, j1, j2, test)
-        counts["minP"] += int(np.count_nonzero(p.min(axis=1) <= cut["minP"]))
-        counts["maxP"] += int(np.count_nonzero(p.max(axis=1) <= cut["maxP"]))
-        counts["medP"] += int(np.count_nonzero(np.median(p, axis=1) <= cut["medP"]))
-
-    if cfg.exhaustive:
-        n_used = comb(j_total, j1)
-        if n_used > _MAX_EXHAUSTIVE:
-            raise ValueError(f"{n_used} label assignments is too many to enumerate")
-        batch = []
-        for picks in itertools.combinations(range(j_total), j1):
-            row = np.zeros(j_total, dtype=bool)
-            row[list(picks)] = True
-            batch.append(row)
-            if len(batch) == _DRAW_BLOCK:
-                tally(np.array(batch))
-                batch = []
-        if batch:
-            tally(np.array(batch))
+        counts = dict.fromkeys(_REDUCE, n_used)
     else:
-        n_used = cfg.n_permutations
-        done = 0
-        while done < n_used:
-            take = min(_DRAW_BLOCK, n_used - done)
-            tally(_batch_relabelings(cfg.seed, done, take, j_total, j1))
-            done += take
+        starts = range(0, n_used, _DRAW_BLOCK)
+        if cfg.exhaustive:
+            if n_used > _MAX_EXHAUSTIVE:
+                raise ValueError(f"{n_used} label assignments is too many to enumerate")
+            # a block at a time: all C(20, 10) rows at once would cost ~40 MB
+            picks = itertools.combinations(range(j_total), j1)
+            blocks = (_members(np.array(list(itertools.islice(picks, _DRAW_BLOCK))), j_total)
+                      for _ in starts)
+        else:
+            blocks = (_batch_relabelings(cfg.seed, i, min(_DRAW_BLOCK, n_used - i), j_total, j1)
+                      for i in starts)
+        # ties count as <=; the tolerance absorbs ulp-level drift between the
+        # batched and single-row BLAS paths
+        cut = {k: v + 1e-12 + 1e-9 * v for k, v in observed.items()}
+        counts = Counter()
+        for members in blocks:
+            counts.update(_block_counts(xd, members, j1, j2, test, cut))
 
-    return observed, counts, n_used, int(np.count_nonzero(deg))
+    # sampled draws need not include the identity assignment
+    floor = 0 if cfg.exhaustive else 1
+    return {k: FamilyTestResult(observed_stat=observed[k],
+                                corrected_p=max(counts[k], floor) / n_used,
+                                stat_kind=k,
+                                n_used=n_used,
+                                degenerate_points=int(np.count_nonzero(deg)))
+            for k in _REDUCE}
 
 
 def westfall_young(g1, g2, test, kind, cfg, domain=None):
     """Permutation-corrected family test of two groups of curves.
 
-    Parameters
-    ----------
-    g1, g2 : StageSample or (J, m) array
-    test : PointwiseTest
-    kind : {'minP', 'maxP', 'medP'}
-    cfg : PermutationConfig
-    domain : bool array over the grid, optional
-
-    Returns
-    -------
-    FamilyTestResult
+    The ``kind`` entry of ``westfall_young_all``; ``kind`` is one of
+    'minP', 'maxP', 'medP'.  Returns a FamilyTestResult.
     """
-    if kind not in FAMILY_KINDS:
+    if kind not in _REDUCE:
         raise ValueError(f"unknown family statistic {kind!r}")
-    observed, counts, n_used, deg = _permutation_reductions(g1, g2, test, cfg, domain)
-    count = counts[kind]
-    if not cfg.exhaustive:
-        # sampled draws need not include the identity assignment
-        count = max(count, 1)
-    return FamilyTestResult(
-        observed_stat=observed[kind],
-        corrected_p=count / n_used,
-        stat_kind=kind,
-        n_used=n_used,
-        degenerate_points=deg,
-    )
-
-
-def westfall_young_all(g1, g2, test, cfg, domain=None):
-    """All three family reductions from a single permutation pass."""
-    observed, counts, n_used, deg = _permutation_reductions(g1, g2, test, cfg, domain)
-    out = {}
-    for kind in FAMILY_KINDS:
-        count = counts[kind] if cfg.exhaustive else max(counts[kind], 1)
-        out[kind] = FamilyTestResult(
-            observed_stat=observed[kind],
-            corrected_p=count / n_used,
-            stat_kind=kind,
-            n_used=n_used,
-            degenerate_points=deg,
-        )
-    return out
+    return westfall_young_all(g1, g2, test, cfg, domain)[kind]

@@ -11,7 +11,7 @@ errors; a delta-free variant measures the type I error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -130,11 +130,7 @@ def run_tail_tests(x, prev, curr, tau, perm_cfg):
         "maxP", perm_cfg, domain=x <= tau)
     lower = westfall_young(
         prev, curr, PointwiseTest(kind="mean", direction="less"),
-        "maxP",
-        PermutationConfig(n_permutations=perm_cfg.n_permutations,
-                          seed=perm_cfg.seed ^ 1,
-                          exhaustive=perm_cfg.exhaustive),
-        domain=x >= 1.0 - tau)
+        "maxP", replace(perm_cfg, seed=perm_cfg.seed ^ 1), domain=x >= 1.0 - tau)
     return upper, lower
 
 
@@ -158,11 +154,9 @@ def estimate_type2(cfg):
         x, z, group1, group2 = sample_gp_groups(cfg, run_rng)
         delta = np.zeros_like(x) if cfg.null_model else perturbation(x)
         l2_total += l2_distance_pct(z, z + delta, x=x)
-        perm_cfg = PermutationConfig(
-            n_permutations=cfg.perm.n_permutations,
-            seed=(cfg.perm.seed << 20) ^ run,
-            exhaustive=cfg.perm.exhaustive,
-        )
+        # run_tail_tests draws the lower tail from seed ^ 1, so runs take
+        # even seeds and every (run, tail) stream is distinct
+        perm_cfg = replace(cfg.perm, seed=(cfg.perm.seed << 20) ^ (2 * run))
         upper, lower = run_tail_tests(x, group2, group1, cfg.tau, perm_cfg)
         if upper.corrected_p > cfg.alpha:
             miss_upper += 1

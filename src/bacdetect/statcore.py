@@ -15,16 +15,6 @@ import numpy as np
 from scipy.special import betainc
 
 
-class DegeneratePointPolicy:
-    """p-value conventions when both groups have zero variance at a point.
-
-    Equal means give p = 0.5 (no evidence either way); otherwise p is 0
-    or 1 depending on whether the observed difference agrees with the
-    tested direction.  Such points are flagged so the caller can report
-    them.
-    """
-
-
 def student_t_sf(t, df):
     """Upper-tail probability P(T >= t) of Student's t distribution.
 
@@ -128,7 +118,11 @@ def welch_mean_p(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
     """One-sided two-sample t-test p-values from group summaries.
 
     All summary arguments broadcast, so a whole batch of permuted
-    relabelings can be evaluated in one call.  Returns ``(p, degenerate)``.
+    relabelings can be evaluated in one call.  Returns the arrays
+    ``(p, degenerate)``.  Where both groups have zero variance the point
+    is flagged degenerate and p follows the sign of the mean difference:
+    0.5 for equal means (no evidence either way), otherwise 0 or 1 as the
+    difference agrees with ``direction`` or not.
     """
     if direction not in ("greater", "less"):
         raise ValueError("direction must be 'greater' or 'less'")
@@ -157,13 +151,16 @@ def welch_mean_p(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
     # zero variance in both groups: decided by the sign of the difference
     decided = np.where(diff > 0, 0.0, np.where(diff < 0, 1.0, 0.5))
     p = np.where(degenerate, decided, p)
-    if p.ndim == 0:
-        return float(p), bool(degenerate)
     return p, degenerate
 
 
 def variance_f_p(var1, j1, var2, j2):
-    """One-sided F-test p-values (H1: var1 > var2) from group summaries."""
+    """One-sided F-test p-values (H1: var1 > var2) from group summaries.
+
+    Returns the arrays ``(p, degenerate)``.  Where group 2 has zero
+    variance the point is flagged degenerate: p is 0 if group 1 varies
+    there and 0.5 if neither does.
+    """
     var1 = np.asarray(var1, dtype=float)
     var2 = np.asarray(var2, dtype=float)
     degenerate = var2 <= 0.0
@@ -172,8 +169,6 @@ def variance_f_p(var1, j1, var2, j2):
     f = np.where(degenerate, 1.0, f)
     p = np.asarray(f_sf(f, j1 - 1, j2 - 1), dtype=float)
     p = np.where(degenerate, np.where(var1 > 0, 0.0, 0.5), p)
-    if p.ndim == 0:
-        return float(p), bool(degenerate)
     return p, degenerate
 
 

@@ -166,11 +166,28 @@ class TestDecide:
         prev, curr = _null_pair(rng, grid)
         d = decide(prev, curr, cfg).to_dict()
         assert set(d["families"]) == {"upper_tail", "lower_tail", "variance"}
-        assert d["provenance"]["tau"] == cfg.tau
+        assert d["provenance"]["tau"] == cfg.grid.tau
         assert d["tool"]["name"] == "bacdetect"
 
     def test_config_validation(self, grid):
+        # tau is validated where it lives, on the grid
         with pytest.raises(ValueError):
-            DecisionConfig(grid=grid, tau=0.6)
+            DecisionConfig(grid=default_grid(m=80, tau=0.6))
         with pytest.raises(ValueError):
             DecisionConfig(grid=grid, alpha=0.0)
+
+    def test_grid_tau_sets_domain_and_provenance(self):
+        grid = default_grid(m=80, tau=0.2)
+        cfg = DecisionConfig(grid=grid, perm=PermutationConfig(n_permutations=50, seed=1))
+        flat = np.full((4, grid.m), 3.0)
+        record = decide(_sample(flat, grid, "p"), _sample(flat, grid, "c"), cfg)
+        # constant curves are degenerate at every tested point
+        assert record.upper_tail.result.degenerate_points == grid.upper_tail_mask().sum()
+        assert record.lower_tail.result.degenerate_points == grid.lower_tail_mask().sum()
+        assert record.provenance["tau"] == 0.2
+
+    def test_sample_on_another_grid_rejected(self, rng, grid, cfg):
+        other = default_grid(m=grid.m, s_max=0.99)
+        prev, curr = _null_pair(rng, grid)
+        with pytest.raises(ValueError):
+            decide(prev, _sample(curr.curves, other, "curr"), cfg)

@@ -4,13 +4,15 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from bacdetect.permutation import (
     FAMILY_KINDS,
     PermutationConfig,
     PointwiseTest,
-    draw_relabeling,
+    _batch_relabelings,
     family_stat,
     westfall_young,
     westfall_young_all,
@@ -41,34 +43,44 @@ class TestFamilyStat:
 
 
 class TestDrawRelabeling:
+    """The engine's relabeling generator, ``_batch_relabelings``."""
+
     def test_two_curves_balanced(self):
-        rng = np.random.default_rng(7)
-        hits = sum(draw_relabeling(rng, 1, 1)[0] for _ in range(10_000))
+        hits = _batch_relabelings(7, 0, 10_000, 2, 1)[:, 0].sum()
         sigma = np.sqrt(10_000 * 0.25)
         assert abs(hits - 5000) <= 3 * sigma
 
     def test_determinism(self):
-        a = [draw_relabeling(np.random.default_rng(3), 2, 3) for _ in range(1)]
-        b = [draw_relabeling(np.random.default_rng(3), 2, 3) for _ in range(1)]
+        a = _batch_relabelings(3, 0, 700, 5, 2)
+        b = _batch_relabelings(3, 0, 700, 5, 2)
         assert np.array_equal(a, b)
+        assert np.all(a.sum(axis=1) == 2)
+
+    def test_rows_independent_of_call_split(self):
+        whole = _batch_relabelings(5, 0, 1500, 9, 4)
+        for cuts in ([0, 1500], [0, 512, 1024, 1500], [0, 1, 511, 513, 1499, 1500],
+                     [0, 700, 1500]):
+            parts = [_batch_relabelings(5, lo, hi - lo, 9, 4)
+                     for lo, hi in zip(cuts[:-1], cuts[1:])]
+            assert np.array_equal(np.concatenate(parts), whole)
 
     def test_partitions_uniform(self):
         # all C(8,4)=70 partitions equally likely: chi-square goodness of fit
-        rng = np.random.default_rng(99)
-        counts = {}
         n = 100_000
-        for _ in range(n):
-            key = tuple(np.flatnonzero(draw_relabeling(rng, 4, 4)))
-            counts[key] = counts.get(key, 0) + 1
-        assert len(counts) == 70
-        stat, p = chisquare(list(counts.values()))
+        members = _batch_relabelings(99, 0, n, 8, 4)
+        keys, counts = np.unique(members, axis=0, return_counts=True)
+        assert len(keys) == 70
+        assert np.all(keys.sum(axis=1) == 4)
+        stat, p = chisquare(counts)
         assert p > 0.001
         sigma = np.sqrt(n * (1 / 70) * (69 / 70))
-        assert max(abs(c - n / 70) for c in counts.values()) <= 3.6 * sigma
+        assert max(abs(c - n / 70) for c in counts) <= 3.6 * sigma
 
-    def test_empty_group_rejected(self):
+    def test_empty_group_rejected(self, rng):
+        g2 = rng.standard_normal((4, 10))
         with pytest.raises(ValueError):
-            draw_relabeling(np.random.default_rng(0), 0, 4)
+            westfall_young(np.empty((0, 10)), g2, PointwiseTest(kind="mean"), "minP",
+                           PermutationConfig(n_permutations=10))
 
 
 def _toy_groups(rng, j1=4, j2=4, m=30, shift=0.0):
@@ -156,3 +168,20 @@ class TestWestfallYoung:
             PermutationConfig(n_permutations=0)
         with pytest.raises(ValueError):
             PointwiseTest(kind="median")
+
+
+@settings(max_examples=60, deadline=None)
+@given(j1=st.integers(2, 5), j2=st.integers(2, 5), m=st.integers(1, 20),
+       seed=st.integers(0, 2**32 - 1), data=st.data())
+def test_exhaustive_invariant_to_row_order(j1, j2, m, seed, data):
+    rng = np.random.default_rng(seed)
+    g1 = rng.standard_normal((j1, m))
+    g2 = rng.standard_normal((j2, m))
+    order1 = data.draw(st.permutations(range(j1)))
+    order2 = data.draw(st.permutations(range(j2)))
+    cfg = PermutationConfig(n_permutations=1, exhaustive=True)
+    for test in (PointwiseTest(kind="mean", direction="greater"), PointwiseTest(kind="variance")):
+        a = westfall_young_all(g1, g2, test, cfg)
+        b = westfall_young_all(g1[list(order1)], g2[list(order2)], test, cfg)
+        for kind in FAMILY_KINDS:
+            assert a[kind].corrected_p == b[kind].corrected_p

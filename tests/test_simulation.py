@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.stats import ttest_ind
 
+from bacdetect import simulation
 from bacdetect.permutation import PermutationConfig
 from bacdetect.simulation import (
     SimConfig,
@@ -191,3 +192,17 @@ class TestEstimateType2:
     def test_null_model_zero_l2(self):
         res = estimate_type2(self._cfg(null_model=True))
         assert res.avg_l2_pct == 0.0
+
+    def test_relabeling_streams_distinct_across_runs(self, monkeypatch):
+        seeds = []
+        original = simulation.westfall_young
+
+        def record(g1, g2, test, kind, cfg, domain=None):
+            seeds.append(cfg.seed)
+            return original(g1, g2, test, kind, cfg, domain)
+
+        monkeypatch.setattr(simulation, "westfall_young", record)
+        estimate_type2(self._cfg(runs=8, perm=PermutationConfig(n_permutations=20, seed=3)))
+        # two tails per run, each with its own stream
+        assert len(seeds) == 16
+        assert len(set(seeds)) == 16
