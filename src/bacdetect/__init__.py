@@ -10,19 +10,11 @@ from .calibration import (
     subtract_baseline,
     subtract_plane,
 )
-from .decision import (
-    DecisionConfig,
-    DecisionRecord,
-    decide,
-    test_lower_tail,
-    test_upper_tail,
-    test_variance,
-)
+from .decision import DecisionConfig, DecisionRecord, decide
 from .permutation import (
     FamilyTestResult,
     PermutationConfig,
     PointwiseTest,
-    family_stat,
     westfall_young,
     westfall_young_all,
 )
@@ -46,13 +38,7 @@ from .simulation import (
     sample_gp_groups,
     se_kernel,
 )
-from .statcore import (
-    PointwisePValues,
-    f_sf,
-    pointwise_mean_test,
-    pointwise_variance_test,
-    student_t_sf,
-)
+from .statcore import f_sf, student_t_sf
 from .surface_io import (
     HeightMatrix,
     StageRecord,

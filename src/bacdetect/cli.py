@@ -2,7 +2,9 @@
 
 Exit codes of ``decide`` are machine-readable so shop-floor scripts can
 branch without parsing the report: 0 = improvement detected, 10 =
-marginal, 20 = no improvement, 101 = error.
+marginal, 20 = no improvement, 101 = error.  A usage error (an unknown
+flag, or a value argparse cannot convert, such as ``--seed foo``) exits
+2 before any work is done.
 """
 
 from __future__ import annotations
@@ -177,6 +179,8 @@ def cmd_sa(args):
 
 
 def cmd_bac(args):
+    if not (0 < args.confidence < 1):
+        raise ValueError("confidence must lie in (0, 1)")
     rec = _load_calibrated(args.stage_dir, flat=args.flat, skip=args.no_calibrate)
     grid = default_grid(m=args.grid_size, s_max=args.s_max, tau=args.tau)
     sample = build_stage_sample(rec, grid)

@@ -1,10 +1,11 @@
 """Three-family change detection and the continue/change recommendation.
 
-The upper-tail and lower-tail mean tests use the maxP family statistic
-(an "all points" alternative), the variance test uses medP ("at least
-half the points").  The three families are treated as independent, so
-Bonferroni splits the overall level: a family is significant at
-alpha / 3 and marginally significant up to 2 * alpha / 3.
+``FAMILIES`` defines the three tests.  The upper-tail and lower-tail mean
+tests use the maxP family statistic (an "all points" alternative), the
+variance test uses medP ("at least half the points").  The three families
+are treated as independent, so Bonferroni splits the overall level: a
+family is significant at alpha / 3 and marginally significant up to
+2 * alpha / 3.
 """
 
 from __future__ import annotations
@@ -29,11 +30,29 @@ RECOMMEND_CONTINUE = "continue"
 RECOMMEND_CHANGE = "clean_or_change_tool"
 RECOMMEND_STOP = "stop_if_finest"
 
-_FAMILY_VERDICTS = {
-    "upper_tail": ("lowered", "not_lowered"),
-    "lower_tail": ("raised", "not_raised"),
-    "variance": ("reduced", "not_reduced"),
+# name -> (pointwise test, family statistic, verdicts if significant / not).
+# upper tail, s <= tau: H1 mu_prev(s) > mu_curr(s), the peaks are flattened;
+# lower tail, s >= 1 - tau: H1 mu_prev(s) < mu_curr(s), the valleys are
+# filled; variance, whole grid: H1 sigma^2_prev(s) > sigma^2_curr(s), the
+# surface gets more even
+FAMILIES = {
+    "upper_tail": (PointwiseTest(kind="mean", direction="greater"), "maxP",
+                   ("lowered", "not_lowered")),
+    "lower_tail": (PointwiseTest(kind="mean", direction="less"), "maxP",
+                   ("raised", "not_raised")),
+    "variance": (PointwiseTest(kind="variance"), "medP", ("reduced", "not_reduced")),
 }
+
+
+def family_args(name, perm, pooled=False):
+    """``(test, kind, cfg)`` for ``westfall_young`` on family ``name``.
+
+    The families must not share relabeling streams, so the k-th entry of
+    ``FAMILIES`` draws from the seed XOR k.
+    """
+    test, kind, _ = FAMILIES[name]
+    k = list(FAMILIES).index(name)
+    return replace(test, pooled=pooled), kind, replace(perm, seed=perm.seed ^ k)
 
 
 @dataclass
@@ -49,14 +68,6 @@ class DecisionConfig:
     def __post_init__(self):
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
-
-    @property
-    def significant_threshold(self):
-        return self.alpha / 3.0
-
-    @property
-    def marginal_threshold(self):
-        return 2.0 * self.alpha / 3.0
 
 
 @dataclass
@@ -100,8 +111,7 @@ class DecisionRecord:
     provenance: dict
 
     def families(self):
-        return {"upper_tail": self.upper_tail, "lower_tail": self.lower_tail,
-                "variance": self.variance}
+        return {name: getattr(self, name) for name in FAMILIES}
 
     def to_dict(self):
         return {
@@ -117,16 +127,13 @@ class DecisionRecord:
 
     @classmethod
     def from_dict(cls, d):
-        fams = d["families"]
         return cls(
             stage_prev=d["stage_prev"],
             stage_curr=d["stage_curr"],
-            upper_tail=FamilyOutcome.from_dict(fams["upper_tail"]),
-            lower_tail=FamilyOutcome.from_dict(fams["lower_tail"]),
-            variance=FamilyOutcome.from_dict(fams["variance"]),
             overall=d["overall"],
             recommendation=d["recommendation"],
             provenance=dict(d["provenance"]),
+            **{name: FamilyOutcome.from_dict(d["families"][name]) for name in FAMILIES},
         )
 
 
@@ -139,39 +146,6 @@ def _version():
     from . import __version__
 
     return __version__
-
-
-def test_upper_tail(prev, curr, cfg):
-    """Mean test for the upper tail: are the peaks being flattened?
-
-    H1: mu_prev(s) > mu_curr(s) for all s <= tau, maxP-combined,
-    Westfall-Young corrected.
-    """
-    test = PointwiseTest(kind="mean", direction="greater", pooled=cfg.pooled)
-    # the families must not share permutation streams: seed, seed ^ 1, seed ^ 2
-    return westfall_young(prev, curr, test, "maxP", cfg.perm, cfg.grid.upper_tail_mask())
-
-
-def test_lower_tail(prev, curr, cfg):
-    """Mean test for the lower tail: are the valleys being filled?
-
-    H1: mu_prev(s) < mu_curr(s) for all s >= 1 - tau.  The grid's s_max
-    already excludes the extreme-depth valley pixels.
-    """
-    test = PointwiseTest(kind="mean", direction="less", pooled=cfg.pooled)
-    perm = replace(cfg.perm, seed=cfg.perm.seed ^ 1)
-    return westfall_young(prev, curr, test, "maxP", perm, cfg.grid.lower_tail_mask())
-
-
-def test_variance(prev, curr, cfg):
-    """Variance test over the whole grid: is the surface getting more even?
-
-    H1: sigma^2_prev(s) > sigma^2_curr(s) for at least half the grid,
-    medP-combined.
-    """
-    test = PointwiseTest(kind="variance")
-    perm = replace(cfg.perm, seed=cfg.perm.seed ^ 2)
-    return westfall_young(prev, curr, test, "medP", perm, None)
 
 
 def band_p_value(p, alpha):
@@ -188,7 +162,7 @@ def band_p_value(p, alpha):
 
 
 def _verdict(family, band):
-    positive, negative = _FAMILY_VERDICTS[family]
+    positive, negative = FAMILIES[family][2]
     if band == "significant":
         return positive
     if band == "marginal":
@@ -221,24 +195,20 @@ def decide(prev, curr, cfg):
     """
     if not all(np.array_equal(s.grid.points, cfg.grid.points) for s in (prev, curr)):
         raise ValueError("stage samples are not evaluated on the configured grid")
-    results = {
-        "upper_tail": test_upper_tail(prev, curr, cfg),
-        "lower_tail": test_lower_tail(prev, curr, cfg),
-        "variance": test_variance(prev, curr, cfg),
-    }
+    domains = {"upper_tail": cfg.grid.upper_tail_mask(),
+               "lower_tail": cfg.grid.lower_tail_mask(), "variance": None}
     outcomes = {}
-    for name, res in results.items():
+    p_values = []
+    for name in FAMILIES:
+        res = westfall_young(prev, curr, *family_args(name, cfg.perm, cfg.pooled),
+                             domains[name])
+        p_values.append(res.corrected_p)
         band = band_p_value(res.corrected_p, cfg.alpha)
         # store 6-significant-digit values so save -> load is the identity
         rounded = replace(res, observed_stat=_sig6(res.observed_stat),
                           corrected_p=_sig6(res.corrected_p))
         outcomes[name] = FamilyOutcome(result=rounded, verdict=_verdict(name, band))
-    overall = combine_families(
-        results["upper_tail"].corrected_p,
-        results["lower_tail"].corrected_p,
-        results["variance"].corrected_p,
-        cfg.alpha,
-    )
+    overall = combine_families(*p_values, cfg.alpha)
     provenance = {
         "seed": cfg.perm.seed,
         "n_permutations": cfg.perm.n_permutations,
@@ -250,10 +220,8 @@ def decide(prev, curr, cfg):
     return DecisionRecord(
         stage_prev=prev.stage_id,
         stage_curr=curr.stage_id,
-        upper_tail=outcomes["upper_tail"],
-        lower_tail=outcomes["lower_tail"],
-        variance=outcomes["variance"],
         overall=overall,
         recommendation=recommend(overall, cfg),
         provenance=provenance,
+        **outcomes,
     )

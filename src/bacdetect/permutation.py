@@ -14,12 +14,7 @@ from math import comb
 
 import numpy as np
 
-from .statcore import (
-    PointwisePValues,
-    _as_curves,
-    variance_f_p,
-    welch_mean_p,
-)
+from .statcore import variance_f_p, welch_mean_p
 
 _REDUCE = {"minP": np.min, "maxP": np.max, "medP": np.median}
 FAMILY_KINDS = tuple(_REDUCE)
@@ -67,19 +62,10 @@ class FamilyTestResult:
     degenerate_points: int = 0
 
 
-def family_stat(p, kind):
-    """Reduce a p-vector over its domain to a single family statistic.
-
-    ``p`` may be a PointwisePValues or a plain array; for ``medP`` the
-    median of an even count is the mean of the two middle order
-    statistics.
-    """
-    if kind not in _REDUCE:
-        raise ValueError(f"unknown family statistic {kind!r}")
-    values = p.masked if isinstance(p, PointwisePValues) else np.asarray(p, dtype=float)
-    if values.size == 0:
-        raise ValueError("empty p-value family")
-    return float(_REDUCE[kind](values))
+def _as_curves(g):
+    # accept either a StageSample-like object or a bare (J, m) array
+    curves = getattr(g, "curves", g)
+    return np.asarray(curves, dtype=float)
 
 
 def _block_rng(seed, block):

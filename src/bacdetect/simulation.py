@@ -15,7 +15,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .permutation import PermutationConfig, PointwiseTest, westfall_young
+from .decision import family_args
+from .permutation import PermutationConfig, westfall_young
 
 # Cholesky jitter escalation, relative to sigma_f^2
 _JITTER_START = 1e-10
@@ -43,6 +44,10 @@ class SimConfig:
             raise ValueError("need at least one run")
         if self.n_curves_per_group < 2:
             raise ValueError("need at least two curves per group")
+        if not (0 < self.alpha < 1):
+            raise ValueError("alpha must lie in (0, 1)")
+        if not (0 < self.tau < 0.5):
+            raise ValueError("tau must lie in (0, 0.5)")
 
 
 @dataclass
@@ -122,15 +127,11 @@ def l2_distance_pct(mu1, mu2, x=None):
 def run_tail_tests(x, prev, curr, tau, perm_cfg):
     """Upper- and lower-tail mean tests on raw curve groups.
 
-    Same construction as the stage-pair tests: prev > curr on x <= tau,
-    prev < curr on x >= 1 - tau, both maxP-combined.
+    The ``upper_tail`` and ``lower_tail`` families of the stage-pair
+    decision, tested on x <= tau and on x >= 1 - tau.
     """
-    upper = westfall_young(
-        prev, curr, PointwiseTest(kind="mean", direction="greater"),
-        "maxP", perm_cfg, domain=x <= tau)
-    lower = westfall_young(
-        prev, curr, PointwiseTest(kind="mean", direction="less"),
-        "maxP", replace(perm_cfg, seed=perm_cfg.seed ^ 1), domain=x >= 1.0 - tau)
+    upper = westfall_young(prev, curr, *family_args("upper_tail", perm_cfg), x <= tau)
+    lower = westfall_young(prev, curr, *family_args("lower_tail", perm_cfg), x >= 1.0 - tau)
     return upper, lower
 
 
@@ -154,8 +155,9 @@ def estimate_type2(cfg):
         x, z, group1, group2 = sample_gp_groups(cfg, run_rng)
         delta = np.zeros_like(x) if cfg.null_model else perturbation(x)
         l2_total += l2_distance_pct(z, z + delta, x=x)
-        # run_tail_tests draws the lower tail from seed ^ 1, so runs take
-        # even seeds and every (run, tail) stream is distinct
+        # the lower tail draws from the run seed with its low bit flipped
+        # (decision.family_args), so runs take even seeds and every
+        # (run, tail) stream is distinct
         perm_cfg = replace(cfg.perm, seed=(cfg.perm.seed << 20) ^ (2 * run))
         upper, lower = run_tail_tests(x, group2, group1, cfg.tau, perm_cfg)
         if upper.corrected_p > cfg.alpha:

@@ -9,8 +9,6 @@ beta function.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 from scipy.special import betainc
 
@@ -27,7 +25,7 @@ def student_t_sf(t, df):
 
     Returns
     -------
-    float or ndarray
+    ndarray, 0-d for scalar arguments
     """
     t = np.asarray(t, dtype=float)
     df = np.asarray(df, dtype=float)
@@ -41,10 +39,7 @@ def student_t_sf(t, df):
     out = np.where(t >= 0, tail, 1.0 - tail)
     # +inf / -inf map to 0 / 1
     out = np.where(np.isposinf(t), 0.0, out)
-    out = np.where(np.isneginf(t), 1.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
+    return np.where(np.isneginf(t), 1.0, out)
 
 
 def f_sf(f, df1, df2):
@@ -56,6 +51,10 @@ def f_sf(f, df1, df2):
         Variance ratio, >= 0.
     df1, df2 : float or array_like
         Numerator / denominator degrees of freedom, > 0.
+
+    Returns
+    -------
+    ndarray, 0-d for scalar arguments
     """
     f = np.asarray(f, dtype=float)
     df1 = np.asarray(df1, dtype=float)
@@ -68,50 +67,7 @@ def f_sf(f, df1, df2):
     # in the upper-tail form to keep small tail probabilities accurate.
     x = df2 / (df2 + df1 * f)
     out = betainc(df2 / 2.0, df1 / 2.0, x)
-    out = np.where(np.isposinf(f), 0.0, out)
-    if out.ndim == 0:
-        return float(out)
-    return out
-
-
-@dataclass
-class PointwisePValues:
-    """Pointwise p-values over the quantile grid.
-
-    ``p`` has one entry per point of ``domain_mask``'s True positions
-    left in grid order; entries outside the mask are NaN.  ``degenerate``
-    marks points where the zero-variance policy fired.
-    """
-
-    p: np.ndarray
-    test_kind: str
-    domain_mask: np.ndarray
-    degenerate: np.ndarray = field(default=None)
-
-    def __post_init__(self):
-        if not np.any(self.domain_mask):
-            raise ValueError("domain mask selects no grid points")
-        if self.degenerate is None:
-            self.degenerate = np.zeros_like(self.domain_mask)
-
-    @property
-    def masked(self):
-        return self.p[self.domain_mask]
-
-
-def _group_moments(x):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] < 2:
-        raise ValueError("need a (J, m) array with J >= 2 curves")
-    mean = x.mean(axis=0)
-    var = x.var(axis=0, ddof=1)
-    return mean, var, x.shape[0]
-
-
-def _as_curves(g):
-    # accept either a StageSample-like object or a bare (J, m) array
-    curves = getattr(g, "curves", g)
-    return np.asarray(curves, dtype=float)
+    return np.where(np.isposinf(f), 0.0, out)
 
 
 def welch_mean_p(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
@@ -147,7 +103,7 @@ def welch_mean_p(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
         diff = -diff
     df = np.where(degenerate, 1.0, df)
     t = np.where(degenerate, 0.0, t)
-    p = np.asarray(student_t_sf(t, df), dtype=float)
+    p = student_t_sf(t, df)
     # zero variance in both groups: decided by the sign of the difference
     decided = np.where(diff > 0, 0.0, np.where(diff < 0, 1.0, 0.5))
     p = np.where(degenerate, decided, p)
@@ -167,50 +123,7 @@ def variance_f_p(var1, j1, var2, j2):
     with np.errstate(divide="ignore", invalid="ignore"):
         f = var1 / var2
     f = np.where(degenerate, 1.0, f)
-    p = np.asarray(f_sf(f, j1 - 1, j2 - 1), dtype=float)
+    p = f_sf(f, j1 - 1, j2 - 1)
     p = np.where(degenerate, np.where(var1 > 0, 0.0, 0.5), p)
     return p, degenerate
 
-
-def pointwise_mean_test(g1, g2, direction, domain=None, pooled=False):
-    """Pointwise one-sided mean comparison of two groups of curves.
-
-    Parameters
-    ----------
-    g1, g2 : StageSample or (J, m) array
-        Curve groups evaluated on a shared grid.
-    direction : {'greater', 'less'}
-        H1: mu1(s) > mu2(s) or mu1(s) < mu2(s) at each point.
-    domain : bool array of length m, optional
-        Grid subset to test; defaults to the full grid.
-    pooled : bool
-        Use the pooled-variance statistic instead of Welch's.
-    """
-    x1 = _as_curves(g1)
-    x2 = _as_curves(g2)
-    if x1.shape[1] != x2.shape[1]:
-        raise ValueError("curve groups are on different grids")
-    m = x1.shape[1]
-    mask = np.ones(m, dtype=bool) if domain is None else np.asarray(domain, dtype=bool)
-    mean1, var1, j1 = _group_moments(x1)
-    mean2, var2, j2 = _group_moments(x2)
-    p, deg = welch_mean_p(mean1, var1, j1, mean2, var2, j2, direction, pooled=pooled)
-    p = np.where(mask, p, np.nan)
-    kind = "mean_greater" if direction == "greater" else "mean_less"
-    return PointwisePValues(p=p, test_kind=kind, domain_mask=mask, degenerate=deg & mask)
-
-
-def pointwise_variance_test(g1, g2, domain=None):
-    """Pointwise one-sided F comparison, H1: sigma1^2(s) > sigma2^2(s)."""
-    x1 = _as_curves(g1)
-    x2 = _as_curves(g2)
-    if x1.shape[1] != x2.shape[1]:
-        raise ValueError("curve groups are on different grids")
-    m = x1.shape[1]
-    mask = np.ones(m, dtype=bool) if domain is None else np.asarray(domain, dtype=bool)
-    _, var1, j1 = _group_moments(x1)
-    _, var2, j2 = _group_moments(x2)
-    p, deg = variance_f_p(var1, j1, var2, j2)
-    p = np.where(mask, p, np.nan)
-    return PointwisePValues(p=p, test_kind="variance_greater", domain_mask=mask,
-                            degenerate=deg & mask)

@@ -40,6 +40,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args([])
 
+    def test_usage_error_exits_two_before_work(self, tmp_path, capsys):
+        # argparse rejects the value before any stage is read
+        with pytest.raises(SystemExit) as exc:
+            main(["decide", str(tmp_path / "gone"), str(tmp_path / "gone2"),
+                  "--seed", "foo"])
+        assert exc.value.code == 2
+        assert "--seed" in capsys.readouterr().err
+
     def test_random_seed_accepted(self):
         args = build_parser().parse_args(["simulate", "--seed", "random"])
         assert isinstance(args.seed, int)
@@ -92,6 +100,16 @@ class TestBac:
         # columns carry 6 significant digits, so compare at print precision
         assert hi - mean == pytest.approx(half, abs=5e-4)
         assert mean - lo == pytest.approx(half, abs=5e-4)
+
+
+    def test_confidence_outside_unit_interval_rejected(self, tmp_path, rng, capsys):
+        d = write_stage_dir(tmp_path, "s1", rough_stage(rng, "s1"))
+        for level in ("1.5", "0", "1", "-0.2"):
+            assert main(["bac", str(d), "--no-calibrate", "--grid-size", "16",
+                         "--confidence", level]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "confidence" in captured.err
 
 
 class TestDecide:

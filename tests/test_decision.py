@@ -16,9 +16,6 @@ from bacdetect.decision import (
     decide,
     recommend,
 )
-from bacdetect.decision import test_lower_tail as lower_tail_test
-from bacdetect.decision import test_upper_tail as upper_tail_test
-from bacdetect.decision import test_variance as variance_test
 from bacdetect.permutation import PermutationConfig
 from bacdetect.roughness import StageSample, default_grid
 
@@ -93,15 +90,15 @@ class TestTailTests:
         prev_curves = np.sort(rng.standard_normal((6, grid.m)), axis=1)[:, ::-1]
         curr_curves = prev_curves.copy()
         curr_curves[:, grid.upper_tail_mask()] -= 10.0  # peaks cut down
-        res = upper_tail_test(_sample(prev_curves, grid), _sample(curr_curves, grid), cfg)
-        assert res.corrected_p == pytest.approx(1 / 400)
+        record = decide(_sample(prev_curves, grid), _sample(curr_curves, grid), cfg)
+        assert record.upper_tail.result.corrected_p == pytest.approx(1 / 400)
 
     def test_lower_tail_extreme_improvement(self, rng, grid, cfg):
         prev_curves = np.sort(rng.standard_normal((6, grid.m)), axis=1)[:, ::-1]
         curr_curves = prev_curves.copy()
         curr_curves[:, grid.lower_tail_mask()] += 10.0  # valleys filled
-        res = lower_tail_test(_sample(prev_curves, grid), _sample(curr_curves, grid), cfg)
-        assert res.corrected_p == pytest.approx(1 / 400)
+        record = decide(_sample(prev_curves, grid), _sample(curr_curves, grid), cfg)
+        assert record.lower_tail.result.corrected_p == pytest.approx(1 / 400)
 
     def test_upper_only_improvement_leaves_lower_not_raised(self, rng, grid, cfg):
         prev_curves = rng.standard_normal((6, grid.m))
@@ -116,8 +113,8 @@ class TestTailTests:
         prev_curves = rng.standard_normal((8, grid.m))
         mean = prev_curves.mean(axis=0)
         curr_curves = 0.2 * (prev_curves - mean) + mean
-        res = variance_test(_sample(prev_curves, grid), _sample(curr_curves, grid), cfg)
-        assert res.corrected_p == pytest.approx(1 / 400)
+        record = decide(_sample(prev_curves, grid), _sample(curr_curves, grid), cfg)
+        assert record.variance.result.corrected_p == pytest.approx(1 / 400)
 
     def test_variance_minority_reduction_not_reduced(self, rng, grid, cfg):
         prev_curves = rng.standard_normal((8, grid.m))
@@ -136,8 +133,7 @@ class TestTailTests:
             prev, curr = _null_pair(rep_rng, grid)
             cfg = DecisionConfig(
                 grid=grid, perm=PermutationConfig(n_permutations=300, seed=r))
-            res = upper_tail_test(prev, curr, cfg)
-            hits += res.corrected_p <= cfg.significant_threshold
+            hits += decide(prev, curr, cfg).upper_tail.verdict == "lowered"
         # non-significant in >= 96% of null replicates
         assert hits / reps <= 0.04
 

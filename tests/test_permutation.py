@@ -13,33 +13,43 @@ from bacdetect.permutation import (
     PermutationConfig,
     PointwiseTest,
     _batch_relabelings,
-    family_stat,
     westfall_young,
     westfall_young_all,
 )
+from bacdetect.statcore import variance_f_p, welch_mean_p
 
 
 class TestFamilyStat:
-    def test_direct_reductions(self):
-        p = [0.1, 0.2, 0.3]
-        assert family_stat(p, "minP") == 0.1
-        assert family_stat(p, "maxP") == 0.3
-        assert family_stat(p, "medP") == 0.2
+    """The observed family statistic of ``westfall_young_all``."""
 
-    def test_even_count_median(self):
-        assert family_stat([0.1, 0.2, 0.3, 0.4], "medP") == pytest.approx(0.25)
+    def test_direct_reductions(self, rng):
+        g1, g2 = _toy_groups(rng, j1=5, j2=6, m=30)
+        domain = np.arange(30) % 3 == 0  # 10 points, so medP averages two
+        cfg = PermutationConfig(n_permutations=20, seed=1)
+        var1, var2 = g1.var(axis=0, ddof=1), g2.var(axis=0, ddof=1)
+        p_mean, _ = welch_mean_p(g1.mean(axis=0), var1, 5, g2.mean(axis=0), var2, 6, "less")
+        p_var, _ = variance_f_p(var1, 5, var2, 6)
+        for test, p in ((PointwiseTest(kind="mean", direction="less"), p_mean),
+                        (PointwiseTest(kind="variance"), p_var)):
+            res = westfall_young_all(g1, g2, test, cfg, domain)
+            for kind, reduce in (("minP", np.min), ("maxP", np.max), ("medP", np.median)):
+                assert res[kind].observed_stat == pytest.approx(reduce(p[domain]), rel=1e-9)
 
-    def test_constant_vector(self):
+    def test_even_count_median(self, rng):
+        g1, g2 = _toy_groups(rng, m=2)
+        p, _ = welch_mean_p(g1.mean(axis=0), g1.var(axis=0, ddof=1), 4,
+                            g2.mean(axis=0), g2.var(axis=0, ddof=1), 4, "greater")
+        res = westfall_young(g1, g2, PointwiseTest(kind="mean"), "medP",
+                             PermutationConfig(n_permutations=20))
+        assert res.observed_stat == pytest.approx((p[0] + p[1]) / 2, rel=1e-9)
+
+    def test_constant_vector(self, rng):
+        # identical groups give p = 0.5 at every point
+        g = rng.standard_normal((4, 12))
+        res = westfall_young_all(g, g.copy(), PointwiseTest(kind="mean"),
+                                 PermutationConfig(n_permutations=20))
         for kind in FAMILY_KINDS:
-            assert family_stat([0.42, 0.42, 0.42], kind) == pytest.approx(0.42)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            family_stat([0.1], "meanP")
-
-    def test_empty_family(self):
-        with pytest.raises(ValueError):
-            family_stat([], "minP")
+            assert res[kind].observed_stat == pytest.approx(0.5, abs=1e-12)
 
 
 class TestDrawRelabeling:
@@ -164,6 +174,9 @@ class TestWestfallYoung:
         with pytest.raises(ValueError):
             westfall_young(g1, g2, PointwiseTest(kind="mean"), "minP", cfg,
                            domain=np.zeros(30, dtype=bool))
+        with pytest.raises(ValueError):
+            westfall_young(rng.standard_normal((4, 10)), rng.standard_normal((4, 11)),
+                           PointwiseTest(kind="mean"), "minP", cfg)
         with pytest.raises(ValueError):
             PermutationConfig(n_permutations=0)
         with pytest.raises(ValueError):

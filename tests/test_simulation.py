@@ -149,6 +149,12 @@ class TestSampleGpGroups:
             SimConfig(runs=0)
         with pytest.raises(ValueError):
             SimConfig(n_curves_per_group=1)
+        # the ranges DecisionConfig and QuantileGrid enforce: a level
+        # outside (0, 1), and tails that are empty or overlap
+        for kw in (dict(alpha=0.0), dict(alpha=5.0), dict(tau=0.0), dict(tau=0.5),
+                   dict(tau=0.6)):
+            with pytest.raises(ValueError):
+                SimConfig(**kw)
 
 
 class TestL2DistancePct:
