@@ -51,6 +51,20 @@ class TestFamilyStat:
         for kind in FAMILY_KINDS:
             assert res[kind].observed_stat == pytest.approx(0.5, abs=1e-12)
 
+    def test_unknown_kind(self, rng):
+        g1, g2 = _toy_groups(rng)
+        with pytest.raises(ValueError, match="family statistic"):
+            westfall_young(g1, g2, PointwiseTest(kind="mean"), "meanP",
+                           PermutationConfig(n_permutations=10))
+
+    def test_empty_family(self, rng):
+        # a domain that selects no grid point leaves nothing to reduce
+        g1, g2 = _toy_groups(rng, m=5)
+        with pytest.raises(ValueError, match="no grid points"):
+            westfall_young_all(g1, g2, PointwiseTest(kind="mean"),
+                               PermutationConfig(n_permutations=10),
+                               domain=np.zeros(5, dtype=bool))
+
 
 class TestDrawRelabeling:
     """The engine's relabeling generator, ``_batch_relabelings``."""
@@ -174,9 +188,6 @@ class TestWestfallYoung:
         with pytest.raises(ValueError):
             westfall_young(g1, g2, PointwiseTest(kind="mean"), "minP", cfg,
                            domain=np.zeros(30, dtype=bool))
-        with pytest.raises(ValueError):
-            westfall_young(rng.standard_normal((4, 10)), rng.standard_normal((4, 11)),
-                           PointwiseTest(kind="mean"), "minP", cfg)
         with pytest.raises(ValueError):
             PermutationConfig(n_permutations=0)
         with pytest.raises(ValueError):

@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
+from bacdetect.permutation import PermutationConfig, PointwiseTest, westfall_young_all
 from bacdetect.statcore import f_sf, student_t_sf, variance_f_p, welch_mean_p
 
 
@@ -159,6 +160,13 @@ class TestPointwiseMeanTest:
         mask = np.arange(10) < 3
         full = _mean_p(g1, g2, "greater")
         assert np.array_equal(_mean_p(g1[:, mask], g2[:, mask], "greater"), full[mask])
+
+    def test_grid_mismatch(self, rng):
+        # the engine is the one place curves reach the pointwise test
+        with pytest.raises(ValueError, match="one evaluation grid"):
+            westfall_young_all(rng.standard_normal((4, 10)), rng.standard_normal((4, 11)),
+                               PointwiseTest(kind="mean", direction="greater"),
+                               PermutationConfig(n_permutations=10))
 
 
 class TestPointwiseVarianceTest:
