@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.stats import t as t_dist
+from scipy.special import stdtrit
 
 from . import __version__
 from .calibration import CalibrationError, calibrate_stage
@@ -187,7 +187,7 @@ def cmd_bac(args):
     mean = sample.mean_curve()
     var = sample.variance_curve()
     j = sample.n_locations
-    half = t_dist.ppf(0.5 + args.confidence / 2.0, j - 1) * np.sqrt(var / j)
+    half = stdtrit(j - 1, 0.5 + args.confidence / 2.0) * np.sqrt(var / j)
     lines = ["s\tmean\tvariance\tband_lower\tband_upper"]
     for k in range(grid.m):
         lines.append(f"{grid.points[k]:.6g}\t{mean[k]:.6g}\t{var[k]:.6g}"
@@ -220,24 +220,26 @@ def cmd_decide(args):
 
 
 def cmd_simulate(args):
+    # every row's configuration is checked before anything is printed
+    configs = [SimConfig(
+        n_curves_per_group=n,
+        n_input_points=args.input_points,
+        sigma_f=args.sigma_f,
+        theta=args.theta,
+        sigma_eps=args.sigma_eps,
+        tau=args.tau,
+        alpha=args.alpha,
+        runs=args.runs,
+        perm=PermutationConfig(n_permutations=args.permutations, seed=args.seed),
+        seed=args.seed,
+        null_model=args.null,
+    ) for n in args.n]
     rows = []
     header = (f"{'N':>4}  {'avg_L2_pct':>10}  {'type2_upper':>11}  "
               f"{'type2_lower':>11}")
     print(header)
-    for n in args.n:
-        cfg = SimConfig(
-            n_curves_per_group=n,
-            n_input_points=args.input_points,
-            sigma_f=args.sigma_f,
-            theta=args.theta,
-            sigma_eps=args.sigma_eps,
-            tau=args.tau,
-            alpha=args.alpha,
-            runs=args.runs,
-            perm=PermutationConfig(n_permutations=args.permutations, seed=args.seed),
-            seed=args.seed,
-            null_model=args.null,
-        )
+    for cfg in configs:
+        n = cfg.n_curves_per_group
         res = estimate_type2(cfg)
         rows.append({"n_curves": n, "avg_l2_pct": res.avg_l2_pct,
                      "type2_upper": res.type2_upper,

@@ -14,7 +14,14 @@ from math import comb
 
 import numpy as np
 
-from .statcore import variance_f_p, welch_mean_p
+from .statcore import (
+    f_bounds,
+    mean_t,
+    t_bounds,
+    variance_f,
+    variance_f_p,
+    welch_mean_p,
+)
 
 _REDUCE = {"minP": np.min, "maxP": np.max, "medP": np.median}
 FAMILY_KINDS = tuple(_REDUCE)
@@ -88,12 +95,12 @@ def _batch_relabelings(seed, start, count, j_total, j1):
     return _members(order[:, :j1], j_total)
 
 
-def _batch_pvalues(xd, members, j1, j2, test):
-    """Pointwise p-values for a batch of relabelings.
+def _batch_moments(xd, members, j1, j2):
+    """Group means and variances for a batch of relabelings.
 
     ``xd`` is the pooled (j1+j2, md) data restricted to the tested
     domain, ``members`` a (n, j1+j2) boolean matrix selecting group 1.
-    Returns an (n, md) p matrix plus the degenerate-point mask.
+    Returns the (n, md) arrays ``(mean1, var1, mean2, var2)``.
     """
     b = members.astype(float)
     s_tot = xd.sum(axis=0)
@@ -114,20 +121,69 @@ def _batch_pvalues(xd, members, j1, j2, test):
     var1 = np.where(var1 <= vtol, 0.0, var1)
     var2 = np.where(var2 <= vtol, 0.0, var2)
     mean2 = np.where(np.abs(mean1 - mean2) ** 2 <= vtol, mean1, mean2)
+    return mean1, var1, mean2, var2
+
+
+def _pvalues(moments, j1, j2, test):
+    """Pointwise p-values and the degenerate-point mask from group moments."""
+    mean1, var1, mean2, var2 = moments
     if test.kind == "mean":
         return welch_mean_p(mean1, var1, j1, mean2, var2, j2,
                             test.direction, pooled=test.pooled)
     return variance_f_p(var1, j1, var2, j2)
 
 
+def _statistic(moments, j1, j2, test):
+    """The pointwise statistic, its degenerate mask and its bounds function.
+
+    p falls as the statistic grows; ``bounds(c)`` returns ``(lo, hi)``
+    with p <= c wherever the statistic is > hi and p > c wherever it is
+    < lo, whatever each point's degrees of freedom.
+    """
+    mean1, var1, mean2, var2 = moments
+    if test.kind == "mean":
+        t, _, degenerate = mean_t(mean1, var1, j1, mean2, var2, j2,
+                                  test.direction, pooled=test.pooled)
+        # Welch's df lies between the smaller group's and the pooled df
+        df_min = j1 + j2 - 2 if test.pooled else min(j1, j2) - 1
+        return t, degenerate, lambda c: t_bounds(c, df_min, j1 + j2 - 2)
+    f, degenerate = variance_f(var1, var2)
+    return f, degenerate, lambda c: f_bounds(c, j1 - 1, j2 - 1)
+
+
 def _block_counts(xd, members, j1, j2, test, cut):
     """Per kind, how many relabelings in the block reduce to <= ``cut``.
 
-    A function of its own so each block's p matrix is freed before the
-    next block is drawn.
+    Counted in statistic space: a point is settled by the bounds on its
+    statistic, and p is evaluated only at the few points between the
+    bounds and at degenerate points, whose p is fixed by convention.
+    With the settled flags ``p <= cut`` known for every point, minP,
+    maxP and medP are <= cut exactly when at least 1, m or m // 2 + 1
+    points are; for an even m, a row with exactly m / 2 such points
+    reduces to the mean of the two middle p's, so its median is taken.
+    The counts equal those of reducing the full p matrix.
     """
-    p, _ = _batch_pvalues(xd, members, j1, j2, test)
-    return {k: int(np.count_nonzero(f(p, axis=1) <= cut[k])) for k, f in _REDUCE.items()}
+    moments = _batch_moments(xd, members, j1, j2)
+    stat, degenerate, bounds = _statistic(moments, j1, j2, test)
+    m = stat.shape[1]
+    counts = {}
+    for kind, c in cut.items():
+        lo, hi = bounds(c)
+        le = stat > hi
+        rows, cols = np.nonzero(degenerate | ~(le | (stat < lo)))
+        if rows.size:
+            p, _ = _pvalues([v[rows, cols] for v in moments], j1, j2, test)
+            le[rows, cols] = p <= c
+        hits = np.count_nonzero(le, axis=1)
+        need = {"minP": 1, "maxP": m, "medP": m // 2 + 1}[kind]
+        ok = hits >= need
+        if kind == "medP" and m % 2 == 0:
+            tie = np.flatnonzero(hits == need - 1)
+            if tie.size:
+                p, _ = _pvalues([v[tie] for v in moments], j1, j2, test)
+                ok[tie] = np.median(p, axis=1) <= c
+        counts[kind] = int(np.count_nonzero(ok))
+    return counts
 
 
 def westfall_young_all(g1, g2, test, cfg, domain=None):
@@ -160,7 +216,8 @@ def westfall_young_all(g1, g2, test, cfg, domain=None):
     xd = np.vstack([x1, x2])[:, mask]
     j_total = j1 + j2
 
-    p_obs, deg = _batch_pvalues(xd, _members(np.arange(j1)[None], j_total), j1, j2, test)
+    identity = _members(np.arange(j1)[None], j_total)
+    p_obs, deg = _pvalues(_batch_moments(xd, identity, j1, j2), j1, j2, test)
     observed = {k: float(f(p_obs[0])) for k, f in _REDUCE.items()}
 
     n_used = comb(j_total, j1) if cfg.exhaustive else cfg.n_permutations

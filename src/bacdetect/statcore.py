@@ -1,16 +1,18 @@
 """Distribution tail functions and the pointwise two-sample tests.
 
-The permutation engine consumes vectors of pointwise p-values: at every
-grid point of the quantile domain a one-sided two-sample test is run, a
-t-test for the mean curves (Welch by default) or an F-test for the
-variance curves.  Both p-values reduce to the regularized incomplete
-beta function.
+At every grid point of the quantile domain a one-sided two-sample test
+is run, a t-test for the mean curves (Welch by default) or an F-test for
+the variance curves.  Both p-values reduce to the regularized incomplete
+beta function.  The permutation engine needs p only for the observed
+labelling; for relabelings it screens the statistic itself against the
+bounds of ``t_bounds`` / ``f_bounds`` and evaluates p only at the points
+those bounds leave unsettled.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import betainc
+from scipy.special import betainc, betaincinv
 
 
 def student_t_sf(t, df):
@@ -70,21 +72,23 @@ def f_sf(f, df1, df2):
     return np.where(np.isposinf(f), 0.0, out)
 
 
-def welch_mean_p(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
-    """One-sided two-sample t-test p-values from group summaries.
+def mean_t(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
+    """One-sided two-sample t statistics from group summaries.
 
     All summary arguments broadcast, so a whole batch of permuted
     relabelings can be evaluated in one call.  Returns the arrays
-    ``(p, degenerate)``.  Where both groups have zero variance the point
-    is flagged degenerate and p follows the sign of the mean difference:
-    0.5 for equal means (no evidence either way), otherwise 0 or 1 as the
-    difference agrees with ``direction`` or not.
+    ``(t, df, degenerate)``, with t oriented so that large values favour
+    ``direction``.  Where both groups have zero variance the point is
+    flagged degenerate, df is 1 and t is +inf, -inf or 0 as the mean
+    difference agrees with ``direction``, disagrees or vanishes.
     """
     if direction not in ("greater", "less"):
         raise ValueError("direction must be 'greater' or 'less'")
     mean1, var1 = np.asarray(mean1, dtype=float), np.asarray(var1, dtype=float)
     mean2, var2 = np.asarray(mean2, dtype=float), np.asarray(var2, dtype=float)
     diff = mean1 - mean2
+    if direction == "less":
+        diff = -diff
     if pooled:
         vp = ((j1 - 1) * var1 + (j2 - 1) * var2) / (j1 + j2 - 2)
         se2 = vp * (1.0 / j1 + 1.0 / j2)
@@ -98,16 +102,35 @@ def welch_mean_p(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
     degenerate = se2 <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         t = diff / np.sqrt(se2)
-    if direction == "less":
-        t = -t
-        diff = -diff
     df = np.where(degenerate, 1.0, df)
-    t = np.where(degenerate, 0.0, t)
-    p = student_t_sf(t, df)
-    # zero variance in both groups: decided by the sign of the difference
-    decided = np.where(diff > 0, 0.0, np.where(diff < 0, 1.0, 0.5))
-    p = np.where(degenerate, decided, p)
-    return p, degenerate
+    t = np.where(degenerate & (diff == 0.0), 0.0, t)
+    return t, df, degenerate
+
+
+def welch_mean_p(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
+    """One-sided two-sample t-test p-values from group summaries.
+
+    Arguments as for ``mean_t``.  Returns the arrays ``(p, degenerate)``.
+    At a degenerate point (zero variance in both groups) p follows the
+    sign of the mean difference: 0.5 for equal means (no evidence either
+    way), otherwise 0 or 1 as the difference agrees with ``direction`` or
+    not; the infinite or zero t of ``mean_t`` gives exactly that.
+    """
+    t, df, degenerate = mean_t(mean1, var1, j1, mean2, var2, j2, direction, pooled)
+    return student_t_sf(t, df), degenerate
+
+
+def variance_f(var1, var2):
+    """F statistics var1 / var2, and the points where var2 is zero.
+
+    Returns the arrays ``(f, degenerate)``; f is 1 at degenerate points.
+    """
+    var1 = np.asarray(var1, dtype=float)
+    var2 = np.asarray(var2, dtype=float)
+    degenerate = var2 <= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f = var1 / var2
+    return np.where(degenerate, 1.0, f), degenerate
 
 
 def variance_f_p(var1, j1, var2, j2):
@@ -117,13 +140,67 @@ def variance_f_p(var1, j1, var2, j2):
     variance the point is flagged degenerate: p is 0 if group 1 varies
     there and 0.5 if neither does.
     """
-    var1 = np.asarray(var1, dtype=float)
-    var2 = np.asarray(var2, dtype=float)
-    degenerate = var2 <= 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        f = var1 / var2
-    f = np.where(degenerate, 1.0, f)
+    f, degenerate = variance_f(var1, var2)
     p = f_sf(f, j1 - 1, j2 - 1)
-    p = np.where(degenerate, np.where(var1 > 0, 0.0, 0.5), p)
+    p = np.where(degenerate, np.where(np.asarray(var1) > 0, 0.0, 0.5), p)
     return p, degenerate
 
+
+def f_isf(q, df1, df2):
+    """The f with P(F >= f) = q, for q in [0, 1]: inverse of ``f_sf``."""
+    x = betaincinv(df2 / 2.0, df1 / 2.0, q)
+    with np.errstate(divide="ignore"):
+        return df2 * (1.0 - x) / (df1 * x)
+
+
+def student_t_isf(q, df):
+    """The t with P(T >= t) = q, for q in [0, 1]: inverse of ``student_t_sf``."""
+    if q > 0.5:
+        return -student_t_isf(1.0 - q, df)
+    # T^2 is F(1, df), and P(T >= t) = P(F >= t^2) / 2 for t >= 0
+    return np.sqrt(f_isf(2.0 * q, 1.0, df))
+
+
+def _bounds(c, isf, scale):
+    """Statistic bounds ``(lo, hi)``: p <= c above hi, p > c below lo.
+
+    ``isf(q)`` is the statistic at which p = q, one value per degree of
+    freedom the points may have; p falls as the statistic grows.  The
+    bounds are widened past the rounding of the p path, so a point
+    outside [lo, hi] is settled exactly as its computed p would settle
+    it.  Near p = 1, p = 1 - tail moves in steps of 1.1e-16, hence the
+    1e-15 in p; the inverse is not trusted below q = 1e-15.  In the
+    statistic, 1e-6 relative is far above the error of betainc and of the
+    inverse, and ``scale`` covers where the statistic enters betainc
+    through an x that rounds to 1 (see ``t_bounds`` / ``f_bounds``).
+    """
+    q_hi = min(c - 1e-15, 1.0) if c >= 2e-15 else 0.0
+    q_lo = min(max(c + 1e-15, 0.0), 1.0)
+    hi = float(np.max(isf(q_hi)))
+    lo = float(np.min(isf(q_lo)))
+    if np.isfinite(hi):
+        hi += 1e-6 * (abs(hi) + scale)
+    if np.isfinite(lo):
+        lo -= 1e-6 * (abs(lo) + scale)
+    return lo, hi
+
+
+def t_bounds(c, df_min, df_max):
+    """Bounds ``(lo, hi)`` on t that settle p <= c for every df in range.
+
+    For every df in [df_min, df_max], ``student_t_sf(t, df)`` is <= c
+    where t > hi and > c where t < lo.  At a fixed t, P(T >= t) falls as
+    df grows when t > 0 and rises when t < 0, so the outer of the bounds
+    at the two ends of the range hold in between.
+    """
+    dfs = np.array([df_min, df_max], dtype=float)
+    # x = df / (df + t^2) rounds to 1 once |t| < 1e-8 sqrt(df), where the
+    # computed p sits flat at 0.5
+    return _bounds(c, lambda q: student_t_isf(q, dfs), np.sqrt(df_max))
+
+
+def f_bounds(c, df1, df2):
+    """Bounds ``(lo, hi)`` on f: ``f_sf(f, df1, df2)`` <= c above hi, > c below lo."""
+    # x = df2 / (df2 + df1 f) carries 3e-16 of rounding, which is
+    # 3e-16 df2 / df1 in f as f goes to 0
+    return _bounds(c, lambda q: f_isf(q, df1, df2), 1e-6 * df2 / df1)

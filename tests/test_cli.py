@@ -1,11 +1,15 @@
 """Command-line interface: subcommands, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bacdetect import __version__
+from bacdetect import __version__, cli
 from bacdetect.cli import (
     EXIT_DETECTED,
     EXIT_ERROR,
@@ -51,6 +55,15 @@ class TestParser:
     def test_random_seed_accepted(self):
         args = build_parser().parse_args(["simulate", "--seed", "random"])
         assert isinstance(args.seed, int)
+
+    def test_import_skips_scipy_stats(self):
+        # scipy.stats costs about a second of start-up on every invocation
+        src = Path(__file__).resolve().parent.parent / "src"
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        code = ("import sys, bacdetect.cli as c; c.build_parser(); "
+                "sys.exit('scipy.stats' in sys.modules)")
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 class TestSa:
@@ -201,3 +214,16 @@ class TestSimulate:
         payload = json.loads(out.read_text())
         assert payload["schema"] == "bacdetect-simulation-v1"
         assert payload["rows"][0]["n_curves"] == 4
+
+    def test_invalid_value_prints_nothing(self, capsys):
+        assert main(["simulate", "--tau", "0.6", "--runs", "1"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tau" in captured.err
+
+    def test_invalid_later_row_fails_before_any_run(self, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "estimate_type2", calls.append)
+        assert main(["simulate", "--n", "9", "1", "--runs", "1"]) == EXIT_ERROR
+        assert calls == []
+        assert capsys.readouterr().out == ""

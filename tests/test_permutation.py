@@ -1,5 +1,6 @@
 """Permutation engine: reductions, relabeling uniformity, corrected p-values."""
 
+from itertools import combinations
 from math import comb
 
 import numpy as np
@@ -9,10 +10,14 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from bacdetect.permutation import (
+    _REDUCE,
     FAMILY_KINDS,
     PermutationConfig,
     PointwiseTest,
+    _batch_moments,
     _batch_relabelings,
+    _block_counts,
+    _members,
     westfall_young,
     westfall_young_all,
 )
@@ -209,3 +214,55 @@ def test_exhaustive_invariant_to_row_order(j1, j2, m, seed, data):
         b = westfall_young_all(g1[list(order1)], g2[list(order2)], test, cfg)
         for kind in FAMILY_KINDS:
             assert a[kind].corrected_p == b[kind].corrected_p
+
+
+TALLY_TESTS = [PointwiseTest(kind="mean", direction=d, pooled=pooled)
+               for d in ("greater", "less") for pooled in (False, True)]
+TALLY_TESTS += [PointwiseTest(kind="variance")]
+
+
+def _p_space_reductions(xd, members, j1, j2, test):
+    """Reference: every reduction of the full (relabelings x points) p matrix."""
+    mean1, var1, mean2, var2 = _batch_moments(xd, members, j1, j2)
+    if test.kind == "mean":
+        p, _ = welch_mean_p(mean1, var1, j1, mean2, var2, j2, test.direction,
+                            pooled=test.pooled)
+    else:
+        p, _ = variance_f_p(var1, j1, var2, j2)
+    return {k: f(p, axis=1) for k, f in _REDUCE.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(j1=st.integers(2, 6), j2=st.integers(2, 6), m=st.integers(1, 30),
+       seed=st.integers(0, 2**32 - 1),
+       shape=st.sampled_from(["plain", "rounded", "constant", "offset"]),
+       shift=st.sampled_from([0.0, 2.5, -2.5]), exhaustive=st.booleans(),
+       data=st.data())
+def test_statistic_tally_matches_p_space(j1, j2, m, seed, shape, shift, exhaustive, data):
+    """``_block_counts`` counts exactly what reducing the full p matrix counts."""
+    rng = np.random.default_rng(seed)
+    xd = rng.standard_normal((j1 + j2, m))
+    xd[j1:] += shift
+    if shape == "rounded":
+        xd = np.round(2 * xd) / 2
+    elif shape == "constant":
+        xd[:, rng.random(m) < 0.4] = 1.0
+    elif shape == "offset":
+        xd = 0.01 * xd + 1700.0
+    if exhaustive:
+        members = _members(np.array(list(combinations(range(j1 + j2), j1))), j1 + j2)
+    else:
+        members = _batch_relabelings(seed, 0, 300, j1 + j2, j1)
+    identity = _members(np.arange(j1)[None], j1 + j2)
+    rows = data.draw(st.lists(st.integers(0, len(members) - 1), min_size=2, max_size=2))
+    for test in TALLY_TESTS:
+        ref = _p_space_reductions(xd, members, j1, j2, test)
+        observed = {k: v[0] for k, v in
+                    _p_space_reductions(xd, identity, j1, j2, test).items()}
+        cuts = [observed, {k: v + 1e-12 + 1e-9 * v for k, v in observed.items()},
+                dict.fromkeys(_REDUCE, 1.0), dict.fromkeys(_REDUCE, 1.5)]
+        # a permuted row's own reductions tie with that row exactly
+        cuts += [{k: v[r] for k, v in ref.items()} for r in rows]
+        for cut in cuts:
+            expected = {k: int(np.count_nonzero(ref[k] <= cut[k])) for k in _REDUCE}
+            assert _block_counts(xd, members, j1, j2, test, cut) == expected, (test, cut)
