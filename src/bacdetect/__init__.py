@@ -8,7 +8,6 @@ from .calibration import (
     calibrate_stage,
     fit_sphere,
     subtract_baseline,
-    subtract_plane,
 )
 from .decision import DecisionConfig, DecisionRecord, decide
 from .permutation import (

@@ -1,10 +1,12 @@
-"""Surface baseline removal: sphere fit and subtraction.
+"""Surface baseline removal: one form fit per scan, then its subtraction.
 
-Raw profilometer heights ride on the nominal spherical surface of the
-polished ball.  Each scan covers a small cap, so a sphere is fitted per
-location and the baseline height under every pixel is subtracted,
-leaving roughness-scale residuals.  A flat bypass subtracts a
-least-squares plane instead, for flat-surface data.
+Raw profilometer heights ride on the nominal form of the part, a sphere
+for a polished ball or a plane for a flat.  Each scan is fitted with
+Pratt's algebraic hypersphere a|q|^2 + b.q + e = 0, |b|^2 - 4ae = 1
+(Pratt 1987, SIGGRAPH), in coordinates centered on the scan and scaled
+by its RMS radius.  A plane is the a -> 0 limit, so one fit covers both
+geometries, and it avoids the Kasa fit's bias on shallow, rough caps
+(Al-Sharadqah & Chernov 2009, Electron. J. Stat. 3).
 """
 
 from __future__ import annotations
@@ -13,7 +15,12 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .surface_io import HeightMatrix, StageRecord
+from .surface_io import StageRecord
+
+# Pratt's constraint |b|^2 - 4ae as a quadratic form in (a, bx, by, bz, e)
+_PRATT = np.array([[0.0, 0, 0, 0, -2], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
+                   [0, 0, 0, 1, 0], [-2, 0, 0, 0, 0]])
+_PENCIL_TOL = 1e-12  # a second exact solution: a pencil of surfaces fits
 
 
 class CalibrationError(Exception):
@@ -22,113 +29,101 @@ class CalibrationError(Exception):
 
 @dataclass
 class SphereFit:
-    center: tuple  # (Xc, Yc, zc), micrometres
-    radius: float
-    rms_residual: float
+    """Pratt fit a|q|^2 + b.q + e = 0 in q = (p - origin) / scale."""
 
-    def __post_init__(self):
-        if self.radius <= 0:
-            raise CalibrationError("fitted radius must be positive")
-        if self.rms_residual < 0:
-            raise CalibrationError("rms residual cannot be negative")
+    origin: np.ndarray  # (X, Y, z) mean of the points, micrometres
+    scale: float  # RMS distance of the points from the origin, micrometres
+    coef: np.ndarray  # (a, bx, by, bz, e) with |b|^2 - 4ae = 1
+    rms_residual: float  # geometric, micrometres
+
+    @property
+    def radius(self):
+        """Sphere radius in micrometres; infinite for a plane."""
+        a = self.coef[0]
+        return self.scale / (2.0 * abs(a)) if a else np.inf
+
+    @property
+    def center(self):
+        """Sphere center (Xc, Yc, zc) in micrometres; infinite for a plane."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            offset = self.coef[1:4] / (-2.0 * self.coef[0])
+        return tuple(self.origin + self.scale * offset)
 
 
 def fit_sphere(points):
-    """Least-squares sphere through a point cloud.
+    """Pratt's sphere-or-plane fit through (n, 3) (X, Y, z) points, in µm.
 
-    Solves the linearized system x^2+y^2+z^2 = 2x*Xc + 2y*Yc + 2z*zc +
-    (r^2 - |c|^2) by normal-equation least squares; closed form, no
-    iteration.  The reported residual is geometric: rms of
-    |dist(point, center) - r|.
-
-    Parameters
-    ----------
-    points : (n, 3) array_like
-        (X, Y, z) coordinates in micrometres; n >= 4, non-coplanar.
+    Solves M c = eta N c (M the moments of the rows (|q|^2, qx, qy, qz,
+    1), N Pratt's constraint) for the smallest eta >= 0 with c'Nc > 0;
+    closed form, no iteration.  ``einsum`` forms the moments, keeping BLAS
+    threads out.  The residual is the geometric distance 2F / (1 +
+    sqrt(1 + 4aF)), F the algebraic residual.  Coplanar points fit a
+    plane; fewer than 4, identical, collinear or cocircular points raise.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3 or pts.shape[0] < 4:
         raise CalibrationError("need at least 4 (X, Y, z) points")
-    a = np.column_stack([2.0 * pts, np.ones(len(pts))])
-    b = (pts * pts).sum(axis=1)
-    sol, _, rank, sv = np.linalg.lstsq(a, b, rcond=None)
-    if rank < 4 or sv[-1] < 1e-12 * sv[0]:
+    n = len(pts)
+    design = np.empty((5, n))
+    q = design[1:4]
+    q[...] = pts.T
+    origin = q.mean(axis=1)
+    q -= origin[:, None]
+    scale = float(np.sqrt(np.einsum("in,in->", q, q) / n))
+    if scale == 0:
+        raise CalibrationError("degenerate point configuration (identical points)")
+    q /= scale
+    np.einsum("in,in->n", q, q, out=design[0])
+    design[4] = 1.0
+    moments = np.einsum("in,jn->ij", design, design) / n
+    eta, vecs = np.linalg.eig(np.linalg.solve(_PRATT, moments))
+    eta, vecs = eta.real, vecs.real
+    norms = np.einsum("ik,ij,jk->k", vecs, _PRATT, vecs)
+    admissible = np.flatnonzero(norms > 0)
+    best, second = admissible[np.argsort(eta[admissible])[:2]]
+    if eta[second] <= _PENCIL_TOL:
         raise CalibrationError(
-            "degenerate point configuration (coplanar or collinear)")
-    center = sol[:3]
-    r2 = sol[3] + center @ center
-    if r2 <= 0:
-        raise CalibrationError("degenerate fit: non-positive squared radius")
-    radius = float(np.sqrt(r2))
-    dist = np.linalg.norm(pts - center, axis=1)
-    rms = float(np.sqrt(np.mean((dist - radius) ** 2)))
-    return SphereFit(center=tuple(center), radius=radius, rms_residual=rms)
-
-
-def _sphere_baseline(matrix, fit, sign):
-    xx, yy = matrix.coordinates()
-    xc, yc, zc = fit.center
-    radicand = fit.radius**2 - (xx - xc) ** 2 - (yy - yc) ** 2
-    bad = radicand < 0
-    if np.any(bad):
-        w, v = np.argwhere(bad)[0]
-        raise CalibrationError(
-            f"pixel (row {w}, col {v}) lies outside the fitted sphere cap "
-            f"(radicand {radicand[w, v]:.6g})")
-    return zc + sign * np.sqrt(radicand)
+            "degenerate point configuration (collinear or cocircular)")
+    coef = vecs[:, best] / np.sqrt(norms[best])
+    f = np.einsum("j,jn->n", coef, design)
+    dist = 2.0 * f / (1.0 + np.sqrt(np.maximum(1.0 + 4.0 * coef[0] * f, 0.0)))
+    rms = scale * float(np.sqrt(np.einsum("n,n->", dist, dist) / n))
+    return SphereFit(origin=origin, scale=scale, coef=coef, rms_residual=rms)
 
 
 def subtract_baseline(matrix, fit):
-    """Remove the fitted spherical baseline from a height matrix.
+    """Remove the fitted sphere or plane from a height matrix.
 
-    The hemisphere branch (sign of the square root) is chosen
-    automatically as the one minimizing the RMS of raw - baseline, since
-    scans may be referenced from either side of the sphere.
+    Each pixel takes the root of a qz^2 + bz qz + g = 0 nearest the scan,
+    qz = -2g / (bz + sign(bz) sqrt(bz^2 - 4ag)): it lies on the scan's
+    side of a sphere whichever way up the scan was taken, and it has no
+    cancellation as a -> 0, where it becomes the plane -g / bz.
     """
-    finite = matrix.finite_mask()
-    best = None
-    for sign in (+1.0, -1.0):
-        baseline = _sphere_baseline(matrix, fit, sign)
-        rms = float(np.sqrt(np.mean((matrix.z[finite] - baseline[finite]) ** 2)))
-        if best is None or rms < best[0]:
-            best = (rms, baseline)
-    return replace(matrix, z=matrix.z - best[1])
-
-
-def fit_plane(points):
-    """Least-squares plane z = a + b*X + c*Y; returns (a, b, c)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[0] < 3:
-        raise CalibrationError("need at least 3 points for a plane")
-    a = np.column_stack([np.ones(len(pts)), pts[:, 0], pts[:, 1]])
-    sol, _, rank, _ = np.linalg.lstsq(a, pts[:, 2], rcond=None)
-    if rank < 3:
-        raise CalibrationError("degenerate point configuration for plane fit")
-    return tuple(sol)
-
-
-def subtract_plane(matrix):
-    """Remove a least-squares plane; flat-surface bypass of the sphere fit."""
-    a0, bx, cy = fit_plane(matrix.point_cloud())
     xx, yy = matrix.coordinates()
-    return replace(matrix, z=matrix.z - (a0 + bx * xx + cy * yy))
+    ox, oy, oz = fit.origin
+    a, bx, by, bz, e = fit.coef
+    qx = (xx[0] - ox) / fit.scale
+    qy = (yy[:, 0] - oy) / fit.scale
+    g = ((a * qy + by) * qy + e)[:, None] + (a * qx + bx) * qx
+    radicand = bz * bz - 4.0 * a * g
+    if radicand.min() < 0:
+        w, v = np.argwhere(radicand < 0)[0]
+        raise CalibrationError(
+            f"pixel (row {w}, col {v}) lies outside the fitted sphere cap "
+            f"(radicand {radicand[w, v]:.6g})")
+    qz = -2.0 * g / (bz + np.copysign(np.sqrt(radicand), bz))
+    return replace(matrix, z=matrix.z - (oz + fit.scale * qz))
 
 
-def calibrate_location(matrix, flat=False):
-    if flat:
-        return subtract_plane(matrix)
-    fit = fit_sphere(matrix.point_cloud())
-    return subtract_baseline(matrix, fit)
+def calibrate_stage(record):
+    """Per-location form removal for a whole stage.
 
-
-def calibrate_stage(record, flat=False):
-    """Per-location baseline removal for a whole stage.
-
-    Each scan covers an independent cap, so the sphere is fitted per
+    Each scan covers an independent patch, so the form is fitted per
     location rather than once per stage.
     """
     if not record.locations:
         raise CalibrationError("empty stage")
-    calibrated = [calibrate_location(m, flat=flat) for m in record.locations]
+    calibrated = [subtract_baseline(m, fit_sphere(m.point_cloud()))
+                  for m in record.locations]
     return StageRecord(stage_id=record.stage_id, stage_label=record.stage_label,
                        locations=calibrated, timestamp=record.timestamp)

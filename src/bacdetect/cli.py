@@ -53,8 +53,6 @@ def _add_common_grid_flags(p):
     p.add_argument("--s-max", type=float, default=0.998,
                    help="last grid quantile; excludes extreme-depth valley "
                         "pixels (default: 0.998)")
-    p.add_argument("--flat", action="store_true",
-                   help="subtract a least-squares plane instead of a sphere")
 
 
 def build_parser():
@@ -69,14 +67,10 @@ def build_parser():
     p = sub.add_parser("calibrate", help="remove the surface baseline and "
                                          "write calibrated matrices")
     p.add_argument("stage_dir", help="stage directory or manifest")
-    p.add_argument("--flat", action="store_true",
-                   help="subtract a least-squares plane instead of a sphere")
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("sa", help="per-location Sa table and the stage median")
     p.add_argument("stage_dir")
-    p.add_argument("--flat", action="store_true",
-                   help="subtract a least-squares plane instead of a sphere")
     p.add_argument("--no-calibrate", action="store_true",
                    help="treat input matrices as already calibrated")
     p.add_argument("--out", help="write the table to this file")
@@ -144,11 +138,11 @@ def build_parser():
     return parser
 
 
-def _load_calibrated(path, flat=False, skip=False):
+def _load_calibrated(path, skip=False):
     rec = load_stage(path)
     if skip:
         return rec
-    return calibrate_stage(rec, flat=flat)
+    return calibrate_stage(rec)
 
 
 def _emit(text, out):
@@ -159,7 +153,7 @@ def _emit(text, out):
 
 
 def cmd_calibrate(args):
-    rec = _load_calibrated(args.stage_dir, flat=args.flat)
+    rec = _load_calibrated(args.stage_dir)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for m in rec.locations:
@@ -169,7 +163,7 @@ def cmd_calibrate(args):
 
 
 def cmd_sa(args):
-    rec = _load_calibrated(args.stage_dir, flat=args.flat, skip=args.no_calibrate)
+    rec = _load_calibrated(args.stage_dir, skip=args.no_calibrate)
     lines = ["location\tsa_um"]
     for m in rec.locations:
         lines.append(f"{m.location_id}\t{compute_sa(m):.6g}")
@@ -181,8 +175,8 @@ def cmd_sa(args):
 def cmd_bac(args):
     if not (0 < args.confidence < 1):
         raise ValueError("confidence must lie in (0, 1)")
-    rec = _load_calibrated(args.stage_dir, flat=args.flat, skip=args.no_calibrate)
     grid = default_grid(m=args.grid_size, s_max=args.s_max, tau=args.tau)
+    rec = _load_calibrated(args.stage_dir, skip=args.no_calibrate)
     sample = build_stage_sample(rec, grid)
     mean = sample.mean_curve()
     var = sample.variance_curve()
@@ -197,8 +191,7 @@ def cmd_bac(args):
 
 
 def cmd_decide(args):
-    prev = _load_calibrated(args.prev_dir, flat=args.flat, skip=args.no_calibrate)
-    curr = _load_calibrated(args.curr_dir, flat=args.flat, skip=args.no_calibrate)
+    # settings are checked before any stage is read
     grid = default_grid(m=args.grid_size, s_max=args.s_max, tau=args.tau)
     cfg = DecisionConfig(
         alpha=args.alpha,
@@ -209,6 +202,8 @@ def cmd_decide(args):
         marginal_continues=args.marginal_continues,
         finest_tool=args.finest_tool,
     )
+    prev = _load_calibrated(args.prev_dir, skip=args.no_calibrate)
+    curr = _load_calibrated(args.curr_dir, skip=args.no_calibrate)
     record = decide(build_stage_sample(prev, grid), build_stage_sample(curr, grid), cfg)
     save_report(record, args.out or "report.json")
     print(_format_record(record))

@@ -1,5 +1,6 @@
-"""Sphere fitting and baseline subtraction, with a nonlinear refinement oracle."""
+"""Form fitting and baseline subtraction, with a nonlinear refinement oracle."""
 
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,15 +10,15 @@ from scipy.optimize import least_squares
 from bacdetect.calibration import (
     CalibrationError,
     calibrate_stage,
-    fit_plane,
     fit_sphere,
     subtract_baseline,
-    subtract_plane,
 )
+from bacdetect.roughness import compute_sa
 from bacdetect.surface_io import HeightMatrix, StageRecord
 from conftest import sphere_cap
 
 RADIUS_UM = 1688.0
+DX_UM, DY_UM = 0.359, 0.369  # the instrument's pixel pitch
 
 
 def random_sphere_points(rng, n, center, radius, noise=0.0):
@@ -51,10 +52,24 @@ class TestFitSphere:
         assert fit.rms_residual <= 1e-9 * RADIUS_UM
 
     def test_coplanar_points_rejected(self, rng):
+        # coplanar points fit their plane (a = 0, infinite radius); points
+        # on one circle lie on a whole pencil of spheres and are rejected
         xy = rng.standard_normal((50, 2))
-        pts = np.column_stack([xy, np.full(50, 2.0)])
-        with pytest.raises(CalibrationError):
-            fit_sphere(pts)
+        fit = fit_sphere(np.column_stack([xy, np.full(50, 2.0)]))
+        assert fit.radius > 1e9
+        assert fit.rms_residual <= 1e-12
+        t = rng.uniform(0, 2 * np.pi, 50)
+        u = np.array([1.0, 0.0, 0.25]) / np.hypot(1.0, 0.25)
+        v = np.array([0.0, 1.0, 0.0])
+        circle = np.array([3.0, 1.0, 7.0]) + 2.0 * (
+            np.cos(t)[:, None] * u + np.sin(t)[:, None] * v)
+        with pytest.raises(CalibrationError, match="cocircular"):
+            fit_sphere(circle)
+
+    def test_collinear_points_rejected(self, rng):
+        s = rng.standard_normal(50)
+        with pytest.raises(CalibrationError, match="collinear"):
+            fit_sphere(np.column_stack([1 + s, 2 - 3 * s, 4 + 0.5 * s]))
 
     def test_too_few_points(self):
         with pytest.raises(CalibrationError):
@@ -103,28 +118,52 @@ class TestSubtractBaseline:
         out = subtract_baseline(flipped, fit)
         assert np.max(np.abs(out.z)) <= 1e-6
 
-    def test_pixel_outside_cap_reported(self):
+    def test_pixel_outside_cap_reported(self, rng):
         cap = self._cap()
-        fit = fit_sphere(cap.point_cloud())
-        tiny = type(fit)(center=fit.center, radius=1.0, rms_residual=0.0)
+        center = np.array([9.0, 7.5, 100.0])
+        tiny = fit_sphere(random_sphere_points(rng, 200, center, 1.0))
+        assert tiny.radius == pytest.approx(1.0)
         with pytest.raises(CalibrationError, match="outside"):
             subtract_baseline(cap, tiny)
 
 
 class TestPlaneBypass:
     def test_plane_fit_and_subtract(self, rng):
-        xx, yy = np.meshgrid(np.arange(30) * 0.359, np.arange(20) * 0.369)
+        # a plane is the a -> 0 limit of the one fit, removed exactly
+        xx, yy = np.meshgrid(np.arange(30) * DX_UM, np.arange(20) * DY_UM)
         z = 1.0 + 0.02 * xx - 0.03 * yy
-        m = HeightMatrix(z=z)
-        a, b, c = fit_plane(m.point_cloud())
-        assert (a, b, c) == pytest.approx((1.0, 0.02, -0.03), abs=1e-10)
-        out = subtract_plane(m)
+        m = HeightMatrix(z=z, dx=DX_UM, dy=DY_UM)
+        out = subtract_baseline(m, fit_sphere(m.point_cloud()))
         assert np.max(np.abs(out.z)) <= 1e-10
 
     def test_degenerate_plane(self):
         pts = np.tile([1.0, 1.0, 1.0], (10, 1))
-        with pytest.raises(CalibrationError):
-            fit_plane(pts)
+        with pytest.raises(CalibrationError, match="identical"):
+            fit_sphere(pts)
+
+
+def _textured_scan(rng, radius, sigma=0.05, rows=480, cols=640):
+    """A full-size scan of a cap (or a tilted flat, radius=inf) with iid texture."""
+    texture = sigma * rng.standard_normal((rows, cols))
+    if np.isinf(radius):
+        xx, yy = np.meshgrid(np.arange(cols) * DX_UM, np.arange(rows) * DY_UM)
+        z = 1700.0 + 0.02 * xx - 0.03 * yy + texture
+        scan = HeightMatrix(z=z, dx=DX_UM, dy=DY_UM)
+    else:
+        center = (cols * DX_UM / 2 + 3.0, rows * DY_UM / 2 - 2.0, radius + 1700.0)
+        scan = sphere_cap(rows, cols, DX_UM, DY_UM, center, radius, texture=texture)
+    return scan, compute_sa(HeightMatrix(z=texture))
+
+
+class TestFormRecovery:
+    @pytest.mark.parametrize("radius", [25_000.0, 6_350.0, RADIUS_UM])
+    def test_rough_cap_radius_and_sa(self, rng, radius):
+        # the Kasa fit returned R = 19.2 mm and +14% Sa on the shallow cap
+        scan, sa_true = _textured_scan(rng, radius)
+        fit = fit_sphere(scan.point_cloud())
+        assert abs(fit.radius - radius) / radius <= 0.005
+        out = subtract_baseline(scan, fit)
+        assert abs(compute_sa(out) - sa_true) / sa_true <= 0.01
 
 
 class TestCalibrateStage:
@@ -143,12 +182,13 @@ class TestCalibrateStage:
             assert abs(m.z.mean()) < 0.02  # within the noise scale
 
     def test_flat_bypass(self, rng):
-        z = 5.0 + 0.1 * rng.standard_normal((20, 20))
-        locs = [HeightMatrix(z=z.copy(), location_id=str(i)) for i in range(2)]
+        # a tilted flat needs no flag: the one fit finds the plane
+        scans = [_textured_scan(rng, np.inf) for _ in range(2)]
+        locs = [replace(scan, location_id=str(i)) for i, (scan, _) in enumerate(scans)]
         rec = StageRecord(stage_id="s", stage_label="s", locations=locs)
-        out = calibrate_stage(rec, flat=True)
-        for m in out.locations:
-            assert abs(m.z.mean()) < 1e-10
+        out = calibrate_stage(rec)
+        for m, (_, sa_true) in zip(out.locations, scans):
+            assert abs(compute_sa(m) - sa_true) / sa_true <= 0.01
 
     def test_empty_stage(self):
         with pytest.raises(CalibrationError):

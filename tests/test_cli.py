@@ -52,6 +52,27 @@ class TestParser:
         assert exc.value.code == 2
         assert "--seed" in capsys.readouterr().err
 
+    def test_flat_option_removed(self, tmp_path, capsys):
+        # one form fit covers spheres and planes; the old switch is a usage error
+        with pytest.raises(SystemExit) as exc:
+            main(["decide", str(tmp_path / "a"), str(tmp_path / "b"), "--flat"])
+        assert exc.value.code == 2
+        assert "--flat" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["decide", "p", "c", "--tau", "0.7"],
+        ["decide", "p", "c", "--alpha", "5"],
+        ["decide", "p", "c", "--grid-size", "1"],
+        ["bac", "p", "--tau", "0.7"],
+        ["bac", "p", "--grid-size", "1"],
+    ])
+    def test_settings_checked_before_any_stage_is_read(self, monkeypatch, capsys, argv):
+        calls = []
+        monkeypatch.setattr(cli, "load_stage", calls.append)
+        assert main(argv) == EXIT_ERROR
+        assert calls == []
+        assert capsys.readouterr().out == ""
+
     def test_random_seed_accepted(self):
         args = build_parser().parse_args(["simulate", "--seed", "random"])
         assert isinstance(args.seed, int)
@@ -216,10 +237,12 @@ class TestSimulate:
         assert payload["rows"][0]["n_curves"] == 4
 
     def test_invalid_value_prints_nothing(self, capsys):
-        assert main(["simulate", "--tau", "0.6", "--runs", "1"]) == EXIT_ERROR
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert "tau" in captured.err
+        for flags, word in ((["--tau", "0.6"], "tau"), (["--seed", "-5"], "seed"),
+                            (["--input-points", "1"], "input points")):
+            assert main(["simulate", *flags, "--runs", "1"]) == EXIT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert word in captured.err
 
     def test_invalid_later_row_fails_before_any_run(self, monkeypatch, capsys):
         calls = []

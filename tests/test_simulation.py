@@ -149,6 +149,10 @@ class TestSampleGpGroups:
             SimConfig(runs=0)
         with pytest.raises(ValueError):
             SimConfig(n_curves_per_group=1)
+        with pytest.raises(ValueError, match="input points"):
+            SimConfig(n_input_points=1)
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(seed=-5)
         # the ranges DecisionConfig and QuantileGrid enforce: a level
         # outside (0, 1), and tails that are empty or overlap
         for kw in (dict(alpha=0.0), dict(alpha=5.0), dict(tau=0.0), dict(tau=0.5),
