@@ -3,8 +3,10 @@
 One plain-text matrix file per sampling location (whitespace- or
 comma-delimited rows, heights in micrometres), optionally accompanied by
 a ``manifest.json`` naming the files, the stage label, and the pixel
-pitch.  Stages with fewer than 2 locations are rejected because the
-tests need replicate curves.
+pitch.  Text after ``#`` is a comment.  An empty or non-numeric cell
+becomes a dropped (NaN) pixel, like a ``nan`` cell, and dropped pixels
+count against the 1% corrupt-scan limit.  Stages with fewer than 2
+locations are rejected because the tests need replicate curves.
 """
 
 from __future__ import annotations
@@ -67,17 +69,27 @@ class HeightMatrix:
     def finite_heights(self):
         return self.z[self.finite_mask()]
 
+    def axes(self):
+        """Physical X (per column) and Y (per row) axes in micrometres."""
+        return np.arange(self.cols) * self.dx, np.arange(self.rows) * self.dy
+
     def coordinates(self):
         """Physical (X, Y) coordinate grids in micrometres."""
-        x = np.arange(self.cols) * self.dx
-        y = np.arange(self.rows) * self.dy
-        return np.meshgrid(x, y)
+        return np.meshgrid(*self.axes())
 
     def point_cloud(self):
-        """Finite pixels as an (n, 3) array of (X, Y, z)."""
-        xx, yy = self.coordinates()
+        """Finite pixels as an (n, 3) array of (X, Y, z), row by row.
+
+        The array is the transpose of a C-ordered (3, n) block, so each
+        coordinate is one contiguous row of ``point_cloud().T``.
+        """
         mask = self.finite_mask()
-        return np.column_stack([xx[mask], yy[mask], self.z[mask]])
+        x, y = self.axes()
+        cloud = np.empty((3, np.count_nonzero(mask)))
+        cloud[0] = np.broadcast_to(x, mask.shape)[mask]
+        cloud[1] = np.broadcast_to(y[:, None], mask.shape)[mask]
+        cloud[2] = self.z[mask]
+        return cloud.T
 
 
 @dataclass
@@ -99,7 +111,13 @@ class StageRecord:
 
 def _read_matrix_file(path):
     try:
-        z = np.genfromtxt(path, delimiter=None if _is_whitespace(path) else ",")
+        delimiter = None if _is_whitespace(path) else ","
+        try:
+            z = np.loadtxt(path, delimiter=delimiter)
+        except ValueError:
+            # empty or non-numeric cells, trailing commas, ragged rows:
+            # genfromtxt reads bad cells as NaN pixels and words the errors
+            z = np.genfromtxt(path, delimiter=delimiter)
     except (ValueError, OSError) as exc:
         raise SurfaceDataError(f"malformed matrix file {path}: {exc}") from exc
     if z.ndim == 1:
@@ -110,10 +128,12 @@ def _read_matrix_file(path):
 
 
 def _is_whitespace(path):
+    """True unless the first line with data, comments cut, has a comma."""
     with open(path) as fh:
         for line in fh:
-            if line.strip():
-                return "," not in line
+            data = line.split("#", 1)[0]
+            if data.strip():
+                return "," not in data
     return True
 
 
@@ -125,9 +145,8 @@ def _clean(z, path):
             f"{path}: {dropped} of {z.size} pixels are non-finite "
             f"(> {MAX_DROPPED_FRACTION:.0%}); scan looks corrupt"
         )
-    out = z.copy()
-    out[~finite] = np.nan
-    return out, dropped
+    z[~finite] = np.nan  # z is freshly parsed, so it is cleaned in place
+    return z, dropped
 
 
 def load_stage(path, stage_label=None):

@@ -4,7 +4,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bacdetect import surface_io
 from bacdetect.decision import DecisionConfig, decide
 from bacdetect.permutation import PermutationConfig
 from bacdetect.roughness import build_stage_sample, default_grid
@@ -14,6 +17,8 @@ from bacdetect.surface_io import (
     HeightMatrix,
     StageRecord,
     SurfaceDataError,
+    _is_whitespace,
+    _read_matrix_file,
     load_report,
     load_stage,
     save_report,
@@ -30,6 +35,18 @@ class TestHeightMatrix:
         assert xx[0, 1] == pytest.approx(DEFAULT_DX_UM)
         assert yy[1, 0] == pytest.approx(DEFAULT_DY_UM)
         assert m.point_cloud().shape == (6, 3)
+
+    def test_point_cloud_matches_coordinate_grids(self, rng):
+        z = rng.standard_normal((5, 7))
+        z[0, 0] = z[3, 4] = np.nan
+        m = HeightMatrix(z=z, dx=0.3, dy=0.7)
+        xx, yy = m.coordinates()
+        mask = m.finite_mask()
+        expected = np.column_stack([xx[mask], yy[mask], z[mask]])
+        cloud = m.point_cloud()
+        assert cloud.shape == (33, 3)
+        assert cloud.tobytes() == expected.tobytes()
+        assert cloud.T.flags.c_contiguous
 
     def test_invalid_shapes(self):
         with pytest.raises(SurfaceDataError):
@@ -105,9 +122,111 @@ class TestLoadStage:
         rec = load_stage(d)
         assert rec.locations[0].z.shape == (4, 4)
 
+    def test_commented_csv_header(self, tmp_path, rng):
+        d = tmp_path / "stage"
+        d.mkdir()
+        for name in ("a.csv", "b.csv"):
+            np.savetxt(d / name, rng.standard_normal((20, 30)), delimiter=",",
+                       header="exported by profilometer")
+        rec = load_stage(d)
+        assert all(m.z.shape == (20, 30) for m in rec.locations)
+        assert all(m.dropped_count == 0 for m in rec.locations)
+
+    @pytest.mark.parametrize("cell", ["", "abc"])
+    def test_malformed_cell_is_one_dropped_pixel(self, tmp_path, rng, cell):
+        z = rng.standard_normal((20, 30))
+        d = tmp_path / "stage"
+        d.mkdir()
+        np.savetxt(d / "a.csv", z, delimiter=",")
+        np.savetxt(d / "b.csv", rng.standard_normal((20, 30)), delimiter=",")
+        lines = (d / "a.csv").read_text().splitlines()
+        row = lines[4].split(",")
+        row[6] = cell
+        lines[4] = ",".join(row)
+        (d / "a.csv").write_text("\n".join(lines) + "\n")
+        a = load_stage(d).locations[0]
+        assert a.z.shape == (20, 30)
+        assert a.dropped_count == 1
+        assert np.isnan(a.z[4, 6])
+        expected = z.copy()
+        expected[4, 6] = np.nan
+        assert np.array_equal(a.z, expected, equal_nan=True)
+
+    def test_well_formed_files_skip_genfromtxt(self, tmp_path, rng,
+                                                monkeypatch):
+        z = rng.standard_normal((20, 30))
+        z[2, 3] = np.nan
+        d = tmp_path / "stage"
+        d.mkdir()
+        np.savetxt(d / "a.csv", z, delimiter=",")
+        np.savetxt(d / "b.txt", rng.standard_normal((20, 30)))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("genfromtxt called on a well-formed file")
+
+        monkeypatch.setattr(surface_io.np, "genfromtxt", refuse)
+        a, b = load_stage(d).locations
+        assert np.array_equal(a.z, z, equal_nan=True)
+        assert a.dropped_count == 1
+        assert b.z.shape == (20, 30)
+
     def test_nonexistent_path(self, tmp_path):
         with pytest.raises(SurfaceDataError):
             load_stage(tmp_path / "nope")
+
+
+# tokens a profilometer export or a hand edit can leave in a cell
+_TOKENS = ["1", "-2.5", "nan", "inf", "1e400", "", "abc", "1_0", "0x10",
+           '"1"', "#c", "\u0661"]
+
+
+@st.composite
+def _matrix_texts(draw):
+    delimiter = draw(st.sampled_from([",", ", ", " ", "\t"]))
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    n_cols = draw(st.integers(1, 4))
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        width = draw(st.one_of(st.just(n_cols), st.integers(1, 5)))
+        cells = draw(st.lists(st.sampled_from(_TOKENS),
+                              min_size=width, max_size=width))
+        trailing = draw(st.sampled_from(["", "", "", delimiter]))
+        rows.append(delimiter.join(cells) + trailing)
+    header = draw(st.sampled_from([None, None, "# header", "# a, b"]))
+    if header:
+        rows.insert(0, header)
+    return newline.join(rows) + (newline if draw(st.booleans()) else "")
+
+
+def _genfromtxt_reference(path):
+    """The array, or the error message, of a plain genfromtxt read."""
+    try:
+        z = np.genfromtxt(path, delimiter=None if _is_whitespace(path) else ",")
+    except ValueError as exc:
+        return None, f"malformed matrix file {path}: {exc}"
+    if z.ndim == 1:
+        z = z.reshape(1, -1)
+    if z.ndim != 2 or z.size == 0:
+        return None, f"malformed matrix file {path}: not rectangular"
+    return z, None
+
+
+class TestReadMatrixFile:
+    @pytest.mark.filterwarnings("ignore::UserWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(text=_matrix_texts())
+    def test_matches_genfromtxt(self, tmp_path_factory, text):
+        path = tmp_path_factory.getbasetemp() / "fuzz.csv"
+        path.write_bytes(text.encode())
+        expected, message = _genfromtxt_reference(path)
+        if expected is None:
+            with pytest.raises(SurfaceDataError) as err:
+                _read_matrix_file(path)
+            assert str(err.value) == message
+        else:
+            z = _read_matrix_file(path)
+            assert z.shape == expected.shape
+            assert np.array_equal(z, expected, equal_nan=True)
 
 
 def _small_record(rng):
