@@ -99,11 +99,11 @@ def subtract_baseline(matrix, fit):
     side of a sphere whichever way up the scan was taken, and it has no
     cancellation as a -> 0, where it becomes the plane -g / bz.
     """
-    xx, yy = matrix.coordinates()
+    x, y = matrix.axes()
     ox, oy, oz = fit.origin
     a, bx, by, bz, e = fit.coef
-    qx = (xx[0] - ox) / fit.scale
-    qy = (yy[:, 0] - oy) / fit.scale
+    qx = (x - ox) / fit.scale
+    qy = (y - oy) / fit.scale
     g = ((a * qy + by) * qy + e)[:, None] + (a * qx + bx) * qx
     radicand = bz * bz - 4.0 * a * g
     if radicand.min() < 0:
