@@ -125,5 +125,4 @@ def calibrate_stage(record):
         raise CalibrationError("empty stage")
     calibrated = [subtract_baseline(m, fit_sphere(m.point_cloud()))
                   for m in record.locations]
-    return StageRecord(stage_id=record.stage_id, stage_label=record.stage_label,
-                       locations=calibrated, timestamp=record.timestamp)
+    return StageRecord(stage_id=record.stage_id, locations=calibrated)

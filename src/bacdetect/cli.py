@@ -257,7 +257,7 @@ def cmd_report(args):
 
 def _format_record(record):
     lines = [f"{record.stage_prev} vs. {record.stage_curr}"]
-    for name, outcome in record.families().items():
+    for name, outcome in record.families.items():
         r = outcome.result
         lines.append(f"  {name:<10} {r.stat_kind:<5} p={r.corrected_p:<10.6g} "
                      f"{outcome.verdict}")

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from . import __version__
 from .permutation import (
     FamilyTestResult,
     PermutationConfig,
@@ -103,26 +104,21 @@ class FamilyOutcome:
 class DecisionRecord:
     stage_prev: str
     stage_curr: str
-    upper_tail: FamilyOutcome
-    lower_tail: FamilyOutcome
-    variance: FamilyOutcome
+    families: dict  # family name -> FamilyOutcome, in FAMILIES order
     overall: str
     recommendation: str
     provenance: dict
-
-    def families(self):
-        return {name: getattr(self, name) for name in FAMILIES}
 
     def to_dict(self):
         return {
             "schema": "bacdetect-report-v1",
             "stage_prev": self.stage_prev,
             "stage_curr": self.stage_curr,
-            "families": {k: v.to_dict() for k, v in self.families().items()},
+            "families": {k: v.to_dict() for k, v in self.families.items()},
             "overall": self.overall,
             "recommendation": self.recommendation,
             "provenance": dict(self.provenance),
-            "tool": {"name": "bacdetect", "version": _version()},
+            "tool": {"name": "bacdetect", "version": __version__},
         }
 
     @classmethod
@@ -130,22 +126,17 @@ class DecisionRecord:
         return cls(
             stage_prev=d["stage_prev"],
             stage_curr=d["stage_curr"],
+            families={name: FamilyOutcome.from_dict(d["families"][name])
+                      for name in FAMILIES},
             overall=d["overall"],
             recommendation=d["recommendation"],
             provenance=dict(d["provenance"]),
-            **{name: FamilyOutcome.from_dict(d["families"][name]) for name in FAMILIES},
         )
 
 
 def _sig6(x):
     """p-values and statistics are stored with 6 significant digits."""
     return float(f"{float(x):.6g}")
-
-
-def _version():
-    from . import __version__
-
-    return __version__
 
 
 def band_p_value(p, alpha):
@@ -220,8 +211,8 @@ def decide(prev, curr, cfg):
     return DecisionRecord(
         stage_prev=prev.stage_id,
         stage_curr=curr.stage_id,
+        families=outcomes,
         overall=overall,
         recommendation=recommend(overall, cfg),
         provenance=provenance,
-        **outcomes,
     )

@@ -86,12 +86,10 @@ def _members(picks, j_total):
     return members
 
 
-def _batch_relabelings(seed, start, count, j_total, j1):
-    """Membership matrix for permutations [start, start+count)."""
-    blocks = range(start // _DRAW_BLOCK, (start + count - 1) // _DRAW_BLOCK + 1)
-    u = np.concatenate([_block_rng(seed, b).random((_DRAW_BLOCK, j_total)) for b in blocks])
-    lo = start - blocks[0] * _DRAW_BLOCK
-    order = np.argsort(u[lo:lo + count], axis=1, kind="stable")
+def _batch_relabelings(seed, block, count, j_total, j1):
+    """Membership matrix for the first ``count`` permutations of ``block``."""
+    u = _block_rng(seed, block).random((count, j_total))
+    order = np.argsort(u, axis=1, kind="stable")
     return _members(order[:, :j1], j_total)
 
 
@@ -236,8 +234,8 @@ def westfall_young_all(g1, g2, test, cfg, domain=None):
             blocks = (_members(np.array(list(itertools.islice(picks, _DRAW_BLOCK))), j_total)
                       for _ in starts)
         else:
-            blocks = (_batch_relabelings(cfg.seed, i, min(_DRAW_BLOCK, n_used - i), j_total, j1)
-                      for i in starts)
+            blocks = (_batch_relabelings(cfg.seed, b, min(_DRAW_BLOCK, n_used - i), j_total, j1)
+                      for b, i in enumerate(starts))
         # ties count as <=; the tolerance absorbs ulp-level drift between the
         # batched and single-row BLAS paths
         cut = {k: v + 1e-12 + 1e-9 * v for k, v in observed.items()}

@@ -7,7 +7,7 @@ peak at quantile 0 and the deepest valley at quantile 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,8 +15,6 @@ import numpy as np
 @dataclass
 class BearingAreaCurve:
     sorted_heights: np.ndarray  # descending, micrometres
-    location_id: str = ""
-    stage_id: str = ""
 
     def __post_init__(self):
         h = np.asarray(self.sorted_heights, dtype=float)
@@ -82,7 +80,6 @@ class StageSample:
     curves: np.ndarray  # (J, m)
     grid: QuantileGrid
     stage_id: str = ""
-    location_ids: list = field(default_factory=list)
 
     def __post_init__(self):
         c = np.asarray(self.curves, dtype=float)
@@ -129,11 +126,7 @@ def extract_bac(matrix):
     z = matrix.finite_heights()
     if z.size < 2:
         raise ValueError("too few finite pixels for a bearing area curve")
-    return BearingAreaCurve(
-        sorted_heights=np.sort(z)[::-1],
-        location_id=matrix.location_id,
-        stage_id=matrix.stage_id,
-    )
+    return BearingAreaCurve(sorted_heights=np.sort(z)[::-1])
 
 
 def evaluate_on_grid(bac, grid):
@@ -150,14 +143,5 @@ def evaluate_on_grid(bac, grid):
 
 def build_stage_sample(record, grid):
     """Extract and grid-evaluate one BAC per location of a calibrated stage."""
-    curves = []
-    ids = []
-    for m in record.locations:
-        curves.append(evaluate_on_grid(extract_bac(m), grid))
-        ids.append(m.location_id)
-    return StageSample(
-        curves=np.array(curves),
-        grid=grid,
-        stage_id=record.stage_id,
-        location_ids=ids,
-    )
+    curves = [evaluate_on_grid(extract_bac(m), grid) for m in record.locations]
+    return StageSample(curves=np.array(curves), grid=grid, stage_id=record.stage_id)

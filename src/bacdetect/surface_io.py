@@ -44,7 +44,6 @@ class HeightMatrix:
     dx: float = DEFAULT_DX_UM
     dy: float = DEFAULT_DY_UM
     location_id: str = ""
-    stage_id: str = ""
     dropped_count: int = 0
 
     def __post_init__(self):
@@ -95,34 +94,28 @@ class HeightMatrix:
 @dataclass
 class StageRecord:
     stage_id: str
-    stage_label: str
     locations: list = field(default_factory=list)
-    timestamp: str | None = None
 
     def __post_init__(self):
         if len(self.locations) < 2:
             raise SurfaceDataError(
-                f"insufficient locations: stage {self.stage_label!r} has "
+                f"insufficient locations: stage {self.stage_id!r} has "
                 f"{len(self.locations)}, need at least 2"
             )
-        for m in self.locations:
-            m.stage_id = self.stage_id
 
 
 def _read_matrix_file(path):
     try:
         delimiter = None if _is_whitespace(path) else ","
         try:
-            z = np.loadtxt(path, delimiter=delimiter)
+            z = np.loadtxt(path, delimiter=delimiter, ndmin=2)
         except ValueError:
             # empty or non-numeric cells, trailing commas, ragged rows:
             # genfromtxt reads bad cells as NaN pixels and words the errors
-            z = np.genfromtxt(path, delimiter=delimiter)
+            z = np.genfromtxt(path, delimiter=delimiter, ndmin=2)
     except (ValueError, OSError) as exc:
         raise SurfaceDataError(f"malformed matrix file {path}: {exc}") from exc
-    if z.ndim == 1:
-        z = z.reshape(1, -1)
-    if z.ndim != 2 or z.size == 0:
+    if z.size < 2:
         raise SurfaceDataError(f"malformed matrix file {path}: not rectangular")
     return z
 
@@ -149,21 +142,21 @@ def _clean(z, path):
     return z, dropped
 
 
-def load_stage(path, stage_label=None):
+def load_stage(path):
     """Load one stage of location matrices from a directory or manifest.
 
     Parameters
     ----------
     path : str or Path
-        A directory of matrix files, or a JSON manifest with keys
-        ``stage_label``, ``files``, and optionally ``dx_um`` / ``dy_um``.
-    stage_label : str, optional
-        Overrides the directory name / manifest label.
+        A directory of matrix files, or a JSON manifest object with keys
+        ``stage_label``, ``files`` (a list of file names), and optionally
+        ``dx_um`` / ``dy_um``.
 
     Returns
     -------
     StageRecord
-        Locations ordered by location_id so ingestion order never matters.
+        Named by the manifest's ``stage_label``, else by the directory;
+        locations ordered by location_id so ingestion order never matters.
     """
     path = Path(path)
     if not path.exists():
@@ -180,15 +173,24 @@ def load_stage(path, stage_label=None):
     if manifest_path is not None:
         with open(manifest_path) as fh:
             manifest = json.load(fh)
-        label = stage_label or manifest.get("stage_label") or manifest_path.parent.name
-        dx = float(manifest.get("dx_um", dx))
-        dy = float(manifest.get("dy_um", dy))
-        base = manifest_path.parent
-        files = [base / f for f in manifest.get("files", [])]
+        if not isinstance(manifest, dict):
+            raise SurfaceDataError(f"manifest {manifest_path} is not a JSON object")
+        names = manifest.get("files", [])
+        if not (isinstance(names, list) and all(isinstance(f, str) for f in names)):
+            raise SurfaceDataError(
+                f"manifest {manifest_path}: 'files' must be a list of file names")
+        label = manifest.get("stage_label") or manifest_path.parent.name
+        try:
+            dx = float(manifest.get("dx_um", dx))
+            dy = float(manifest.get("dy_um", dy))
+        except (TypeError, ValueError) as exc:
+            raise SurfaceDataError(
+                f"manifest {manifest_path}: pixel pitch must be a number ({exc})") from exc
+        files = [manifest_path.parent / f for f in names]
     else:
         if not path.is_dir():
             raise SurfaceDataError(f"{path} is neither a directory nor a manifest")
-        label = stage_label or path.name
+        label = path.name
         files = [p for p in path.iterdir()
                  if p.is_file() and p.suffix.lower() in MATRIX_SUFFIXES]
 
@@ -199,8 +201,8 @@ def load_stage(path, stage_label=None):
             raise SurfaceDataError(f"manifest names a missing file: {f}")
         z, dropped = _clean(_read_matrix_file(f), f)
         locations.append(HeightMatrix(z=z, dx=dx, dy=dy, location_id=f.stem,
-                                      stage_id=label, dropped_count=dropped))
-    return StageRecord(stage_id=label, stage_label=label, locations=locations)
+                                      dropped_count=dropped))
+    return StageRecord(stage_id=label, locations=locations)
 
 
 def save_report(record, path):
@@ -222,4 +224,9 @@ def load_report(path):
     if not path.exists():
         raise SurfaceDataError(f"no such report: {path}")
     with open(path) as fh:
-        return DecisionRecord.from_dict(json.load(fh))
+        payload = json.load(fh)
+    try:
+        return DecisionRecord.from_dict(payload)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise SurfaceDataError(
+            f"{path} is not a bacdetect report: {type(exc).__name__} {exc}") from exc

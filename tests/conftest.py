@@ -17,11 +17,10 @@ def rough_stage(rng, stage_id, n_loc=6, rows=24, cols=30, scale=1.0, shift=0.0):
         HeightMatrix(
             z=shift + scale * rng.standard_normal((rows, cols)),
             location_id=f"loc{i:02d}",
-            stage_id=stage_id,
         )
         for i in range(n_loc)
     ]
-    return StageRecord(stage_id=stage_id, stage_label=stage_id, locations=locations)
+    return StageRecord(stage_id=stage_id, locations=locations)
 
 
 def sphere_cap(rows, cols, dx, dy, center, radius, texture=None):

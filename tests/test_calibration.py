@@ -175,7 +175,7 @@ class TestCalibrateStage:
                              RADIUS_UM, texture=noise)
             cap.location_id = f"loc{i}"
             locs.append(cap)
-        rec = StageRecord(stage_id="s", stage_label="s", locations=locs)
+        rec = StageRecord(stage_id="s", locations=locs)
         out = calibrate_stage(rec)
         assert len(out.locations) == 9
         for m in out.locations:
@@ -185,7 +185,7 @@ class TestCalibrateStage:
         # a tilted flat needs no flag: the one fit finds the plane
         scans = [_textured_scan(rng, np.inf) for _ in range(2)]
         locs = [replace(scan, location_id=str(i)) for i, (scan, _) in enumerate(scans)]
-        rec = StageRecord(stage_id="s", stage_label="s", locations=locs)
+        rec = StageRecord(stage_id="s", locations=locs)
         out = calibrate_stage(rec)
         for m, (_, sa_true) in zip(out.locations, scans):
             assert abs(compute_sa(m) - sa_true) / sa_true <= 0.01

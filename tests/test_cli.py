@@ -113,7 +113,7 @@ class TestBac:
     def test_constant_curves_collapse_bands(self, tmp_path, capsys):
         locs = [HeightMatrix(z=np.full((6, 6), 2.0), location_id=f"l{i}")
                 for i in range(4)]
-        rec = StageRecord(stage_id="s", stage_label="s", locations=locs)
+        rec = StageRecord(stage_id="s", locations=locs)
         d = write_stage_dir(tmp_path, "s", rec)
         assert main(["bac", str(d), "--no-calibrate", "--grid-size", "16"]) == 0
         for line in capsys.readouterr().out.strip().splitlines()[1:]:
@@ -193,6 +193,26 @@ class TestDecide:
         assert main(["report", str(out)]) == 0
         assert capsys.readouterr().out.strip() in first
 
+    @pytest.mark.parametrize("payload", [{"schema": "x"}, [1, 2]])
+    def test_report_of_wrong_shape_exits_error(self, tmp_path, capsys, payload):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(payload))
+        assert main(["report", str(path)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{path} is not a bacdetect report" in captured.err
+
+    @pytest.mark.parametrize("manifest", [["a.csv"], {"files": "a.csv"}])
+    def test_manifest_of_wrong_shape_exits_error(self, tmp_path, rng, capsys, manifest):
+        prev, curr = _improved_pair(tmp_path, rng)
+        (curr / "manifest.json").write_text(json.dumps(manifest))
+        code = main(["decide", str(prev), str(curr), *DECIDE_FLAGS,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(curr / "manifest.json") in captured.err
+
 
 class TestCalibrate:
     def test_writes_calibrated_matrices(self, tmp_path, rng):
@@ -202,7 +222,7 @@ class TestCalibrate:
                              texture=0.02 * rng.standard_normal((30, 40)))
             cap.location_id = f"loc{i}"
             locs.append(cap)
-        rec = StageRecord(stage_id="s", stage_label="s", locations=locs)
+        rec = StageRecord(stage_id="s", locations=locs)
         d = write_stage_dir(tmp_path, "raw", rec)
         out = tmp_path / "cal"
         assert main(["calibrate", str(d), "--out", str(out)]) == 0

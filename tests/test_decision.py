@@ -10,6 +10,7 @@ from bacdetect.decision import (
     RECOMMEND_CHANGE,
     RECOMMEND_CONTINUE,
     RECOMMEND_STOP,
+    FAMILIES,
     DecisionConfig,
     band_p_value,
     combine_families,
@@ -91,14 +92,14 @@ class TestTailTests:
         curr_curves = prev_curves.copy()
         curr_curves[:, grid.upper_tail_mask()] -= 10.0  # peaks cut down
         record = decide(_sample(prev_curves, grid), _sample(curr_curves, grid), cfg)
-        assert record.upper_tail.result.corrected_p == pytest.approx(1 / 400)
+        assert record.families["upper_tail"].result.corrected_p == pytest.approx(1 / 400)
 
     def test_lower_tail_extreme_improvement(self, rng, grid, cfg):
         prev_curves = np.sort(rng.standard_normal((6, grid.m)), axis=1)[:, ::-1]
         curr_curves = prev_curves.copy()
         curr_curves[:, grid.lower_tail_mask()] += 10.0  # valleys filled
         record = decide(_sample(prev_curves, grid), _sample(curr_curves, grid), cfg)
-        assert record.lower_tail.result.corrected_p == pytest.approx(1 / 400)
+        assert record.families["lower_tail"].result.corrected_p == pytest.approx(1 / 400)
 
     def test_upper_only_improvement_leaves_lower_not_raised(self, rng, grid, cfg):
         prev_curves = rng.standard_normal((6, grid.m))
@@ -106,15 +107,15 @@ class TestTailTests:
         curr_curves[:, grid.upper_tail_mask()] -= 10.0
         record = decide(_sample(prev_curves, grid, "p"),
                         _sample(curr_curves, grid, "c"), cfg)
-        assert record.upper_tail.verdict == "lowered"
-        assert record.lower_tail.verdict == "not_raised"
+        assert record.families["upper_tail"].verdict == "lowered"
+        assert record.families["lower_tail"].verdict == "not_raised"
 
     def test_variance_extreme_reduction(self, rng, grid, cfg):
         prev_curves = rng.standard_normal((8, grid.m))
         mean = prev_curves.mean(axis=0)
         curr_curves = 0.2 * (prev_curves - mean) + mean
         record = decide(_sample(prev_curves, grid), _sample(curr_curves, grid), cfg)
-        assert record.variance.result.corrected_p == pytest.approx(1 / 400)
+        assert record.families["variance"].result.corrected_p == pytest.approx(1 / 400)
 
     def test_variance_minority_reduction_not_reduced(self, rng, grid, cfg):
         prev_curves = rng.standard_normal((8, grid.m))
@@ -123,7 +124,7 @@ class TestTailTests:
         curr_curves = scale * (prev_curves - mean) + mean
         record = decide(_sample(prev_curves, grid, "p"),
                         _sample(curr_curves, grid, "c"), cfg)
-        assert record.variance.verdict == "not_reduced"
+        assert record.families["variance"].verdict == "not_reduced"
 
     def test_null_rarely_significant(self, grid):
         hits = 0
@@ -133,7 +134,7 @@ class TestTailTests:
             prev, curr = _null_pair(rep_rng, grid)
             cfg = DecisionConfig(
                 grid=grid, perm=PermutationConfig(n_permutations=300, seed=r))
-            hits += decide(prev, curr, cfg).upper_tail.verdict == "lowered"
+            hits += decide(prev, curr, cfg).families["upper_tail"].verdict == "lowered"
         # non-significant in >= 96% of null replicates
         assert hits / reps <= 0.04
 
@@ -148,9 +149,9 @@ class TestDecide:
         assert record.recommendation == RECOMMEND_CONTINUE
         assert record.stage_prev == "stage1"
         assert record.stage_curr == "stage2"
-        assert record.upper_tail.result.stat_kind == "maxP"
-        assert record.lower_tail.result.stat_kind == "maxP"
-        assert record.variance.result.stat_kind == "medP"
+        assert record.families["upper_tail"].result.stat_kind == "maxP"
+        assert record.families["lower_tail"].result.stat_kind == "maxP"
+        assert record.families["variance"].result.stat_kind == "medP"
 
     def test_identical_stages_no_improvement(self, rng, grid, cfg):
         prev, curr = _null_pair(rng, grid)
@@ -160,7 +161,10 @@ class TestDecide:
 
     def test_record_serialization_fields(self, rng, grid, cfg):
         prev, curr = _null_pair(rng, grid)
-        d = decide(prev, curr, cfg).to_dict()
+        record = decide(prev, curr, cfg)
+        # the CLI prints the families in this order
+        assert list(record.families) == list(FAMILIES)
+        d = record.to_dict()
         assert set(d["families"]) == {"upper_tail", "lower_tail", "variance"}
         assert d["provenance"]["tau"] == cfg.grid.tau
         assert d["tool"]["name"] == "bacdetect"
@@ -178,8 +182,9 @@ class TestDecide:
         flat = np.full((4, grid.m), 3.0)
         record = decide(_sample(flat, grid, "p"), _sample(flat, grid, "c"), cfg)
         # constant curves are degenerate at every tested point
-        assert record.upper_tail.result.degenerate_points == grid.upper_tail_mask().sum()
-        assert record.lower_tail.result.degenerate_points == grid.lower_tail_mask().sum()
+        families = record.families
+        assert families["upper_tail"].result.degenerate_points == grid.upper_tail_mask().sum()
+        assert families["lower_tail"].result.degenerate_points == grid.lower_tail_mask().sum()
         assert record.provenance["tau"] == 0.2
 
     def test_sample_on_another_grid_rejected(self, rng, grid, cfg):

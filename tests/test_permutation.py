@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from scipy.stats import chisquare
 
 from bacdetect.permutation import (
+    _DRAW_BLOCK,
     _REDUCE,
     FAMILY_KINDS,
     PermutationConfig,
@@ -85,13 +86,13 @@ class TestDrawRelabeling:
         assert np.array_equal(a, b)
         assert np.all(a.sum(axis=1) == 2)
 
-    def test_rows_independent_of_call_split(self):
-        whole = _batch_relabelings(5, 0, 1500, 9, 4)
-        for cuts in ([0, 1500], [0, 512, 1024, 1500], [0, 1, 511, 513, 1499, 1500],
-                     [0, 700, 1500]):
-            parts = [_batch_relabelings(5, lo, hi - lo, 9, 4)
-                     for lo, hi in zip(cuts[:-1], cuts[1:])]
-            assert np.array_equal(np.concatenate(parts), whole)
+    def test_short_block_is_prefix_of_full_block(self):
+        # the engine's last block is short; its rows must be the first rows
+        # a full block would have drawn
+        full = _batch_relabelings(5, 2, _DRAW_BLOCK, 9, 4)
+        for count in (1, 100, 511):
+            assert np.array_equal(_batch_relabelings(5, 2, count, 9, 4), full[:count])
+        assert not np.array_equal(_batch_relabelings(5, 3, _DRAW_BLOCK, 9, 4), full)
 
     def test_partitions_uniform(self):
         # all C(8,4)=70 partitions equally likely: chi-square goodness of fit

@@ -54,7 +54,7 @@ class TestMedianSa:
     def _stage(self, sas):
         locs = [HeightMatrix(z=np.array([[s, -s], [s, -s]]), location_id=str(i))
                 for i, s in enumerate(sas)]
-        return StageRecord(stage_id="s", stage_label="s", locations=locs)
+        return StageRecord(stage_id="s", locations=locs)
 
     def test_odd_count(self):
         assert median_sa(self._stage([1, 2, 3])) == 2.0
@@ -65,7 +65,7 @@ class TestMedianSa:
     def test_identical_matrices(self, rng):
         z = rng.standard_normal((5, 5))
         locs = [HeightMatrix(z=z.copy(), location_id=str(i)) for i in range(4)]
-        rec = StageRecord(stage_id="s", stage_label="s", locations=locs)
+        rec = StageRecord(stage_id="s", locations=locs)
         assert median_sa(rec) == pytest.approx(compute_sa(locs[0]), abs=1e-12)
 
 

@@ -103,7 +103,7 @@ class TestLoadStage:
             {"stage_label": "tool3", "files": ["a.csv", "b.csv"],
              "dx_um": 0.5, "dy_um": 0.25}))
         rec = load_stage(d)
-        assert rec.stage_label == "tool3"
+        assert rec.stage_id == "tool3"
         assert all(m.dx == 0.5 and m.dy == 0.25 for m in rec.locations)
 
     def test_manifest_missing_file(self, tmp_path):
@@ -174,6 +174,23 @@ class TestLoadStage:
         with pytest.raises(SurfaceDataError):
             load_stage(tmp_path / "nope")
 
+    @pytest.mark.parametrize("manifest, message", [
+        (["a.csv", "b.csv"], "is not a JSON object"),
+        ({"files": "a.csv"}, "'files' must be a list of file names"),
+        ({"files": ["a.csv", 2]}, "'files' must be a list of file names"),
+        ({"files": ["a.csv", "b.csv"], "dx_um": None}, "pixel pitch must be a number"),
+        ({"files": ["a.csv", "b.csv"], "dy_um": "abc"}, "pixel pitch must be a number"),
+    ])
+    def test_manifest_of_wrong_shape(self, tmp_path, rng, manifest, message):
+        d = tmp_path / "stage"
+        d.mkdir()
+        for name in ("a.csv", "b.csv"):
+            np.savetxt(d / name, rng.standard_normal((4, 4)), delimiter=",")
+        (d / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SurfaceDataError, match=message) as err:
+            load_stage(d)
+        assert str(d / "manifest.json") in str(err.value)
+
 
 # tokens a profilometer export or a hand edit can leave in a cell
 _TOKENS = ["1", "-2.5", "nan", "inf", "1e400", "", "abc", "1_0", "0x10",
@@ -201,12 +218,11 @@ def _matrix_texts(draw):
 def _genfromtxt_reference(path):
     """The array, or the error message, of a plain genfromtxt read."""
     try:
-        z = np.genfromtxt(path, delimiter=None if _is_whitespace(path) else ",")
+        z = np.genfromtxt(path, delimiter=None if _is_whitespace(path) else ",",
+                          ndmin=2)
     except ValueError as exc:
         return None, f"malformed matrix file {path}: {exc}"
-    if z.ndim == 1:
-        z = z.reshape(1, -1)
-    if z.ndim != 2 or z.size == 0:
+    if z.size < 2:
         return None, f"malformed matrix file {path}: not rectangular"
     return z, None
 
@@ -227,6 +243,20 @@ class TestReadMatrixFile:
             z = _read_matrix_file(path)
             assert z.shape == expected.shape
             assert np.array_equal(z, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("text, shape", [("1\n2\n3\n4\n", (4, 1)),
+                                             ("1,2,3\n", (1, 3)),
+                                             ("1\n\n2\nabc\n", (3, 1))])
+    def test_orientation_kept(self, tmp_path, text, shape):
+        path = tmp_path / "m.csv"
+        path.write_text(text)
+        assert _read_matrix_file(path).shape == shape
+
+    def test_single_cell_rejected(self, tmp_path):
+        path = tmp_path / "m.csv"
+        path.write_text("5\n")
+        with pytest.raises(SurfaceDataError, match="not rectangular"):
+            _read_matrix_file(path)
 
 
 def _small_record(rng):
@@ -264,9 +294,19 @@ class TestReportPersistence:
         with pytest.raises(SurfaceDataError):
             load_report(tmp_path / "absent.json")
 
+    @pytest.mark.parametrize("payload", [
+        {"schema": "x"}, [1, 2], "text", None,
+        {"stage_prev": "a", "stage_curr": "b", "families": []},
+    ])
+    def test_payload_of_wrong_shape(self, tmp_path, payload):
+        path = tmp_path / "odd.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SurfaceDataError, match="is not a bacdetect report") as err:
+            load_report(path)
+        assert str(path) in str(err.value)
+
 
 class TestStageRecord:
     def test_minimum_two_locations(self):
         with pytest.raises(SurfaceDataError, match="insufficient"):
-            StageRecord(stage_id="s", stage_label="s",
-                        locations=[HeightMatrix(z=np.zeros((2, 2)))])
+            StageRecord(stage_id="s", locations=[HeightMatrix(z=np.zeros((2, 2)))])
