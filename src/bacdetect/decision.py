@@ -2,9 +2,9 @@
 
 ``FAMILIES`` defines the three tests.  The upper-tail and lower-tail mean
 tests use the maxP family statistic (an "all points" alternative), the
-variance test uses medP ("at least half the points").  The three families
-are treated as independent, so Bonferroni splits the overall level: a
-family is significant at alpha / 3 and marginally significant up to
+variance test uses medP ("at least half the points").  Bonferroni splits
+the overall level between the three families, whatever their dependence:
+a family is significant at alpha / 3 and marginally significant up to
 2 * alpha / 3.
 """
 
@@ -31,29 +31,30 @@ RECOMMEND_CONTINUE = "continue"
 RECOMMEND_CHANGE = "clean_or_change_tool"
 RECOMMEND_STOP = "stop_if_finest"
 
-# name -> (pointwise test, family statistic, verdicts if significant / not).
-# upper tail, s <= tau: H1 mu_prev(s) > mu_curr(s), the peaks are flattened;
-# lower tail, s >= 1 - tau: H1 mu_prev(s) < mu_curr(s), the valleys are
-# filled; variance, whole grid: H1 sigma^2_prev(s) > sigma^2_curr(s), the
-# surface gets more even
+# name -> (pointwise test, family statistic, verdicts if significant / not,
+# tested domain of a grid).  upper tail, s in [0, tau]: H1 mu_prev(s) >
+# mu_curr(s), the peaks are flattened; lower tail, s in [1 - tau, 1]: H1
+# mu_prev(s) < mu_curr(s), the valleys are filled; variance, whole grid
+# (None): H1 sigma^2_prev(s) > sigma^2_curr(s), the surface gets more even
 FAMILIES = {
     "upper_tail": (PointwiseTest(kind="mean", direction="greater"), "maxP",
-                   ("lowered", "not_lowered")),
+                   ("lowered", "not_lowered"), QuantileGrid.upper_tail_mask),
     "lower_tail": (PointwiseTest(kind="mean", direction="less"), "maxP",
-                   ("raised", "not_raised")),
-    "variance": (PointwiseTest(kind="variance"), "medP", ("reduced", "not_reduced")),
+                   ("raised", "not_raised"), QuantileGrid.lower_tail_mask),
+    "variance": (PointwiseTest(kind="variance"), "medP", ("reduced", "not_reduced"),
+                 lambda grid: None),
 }
 
 
-def family_args(name, perm, pooled=False):
-    """``(test, kind, cfg)`` for ``westfall_young`` on family ``name``.
+def family_args(name, perm, grid, pooled=False):
+    """``(test, kind, cfg, domain)`` for ``westfall_young`` on ``name`` over ``grid``.
 
     The families must not share relabeling streams, so the k-th entry of
     ``FAMILIES`` draws from the seed XOR k.
     """
-    test, kind, _ = FAMILIES[name]
+    test, kind, _, domain = FAMILIES[name]
     k = list(FAMILIES).index(name)
-    return replace(test, pooled=pooled), kind, replace(perm, seed=perm.seed ^ k)
+    return replace(test, pooled=pooled), kind, replace(perm, seed=perm.seed ^ k), domain(grid)
 
 
 @dataclass
@@ -87,16 +88,17 @@ class FamilyOutcome:
         }
 
     @classmethod
-    def from_dict(cls, d):
+    def from_dict(cls, d, where=""):
+        """Read back ``to_dict``; ``where`` prefixes field names in errors."""
         return cls(
             result=FamilyTestResult(
-                observed_stat=d["observed_stat"],
-                corrected_p=d["corrected_p"],
-                stat_kind=d["statistic_kind"],
-                n_used=d["n_permutations_used"],
-                degenerate_points=d["degenerate_points"],
+                observed_stat=_field(d, "observed_stat", "a number", where),
+                corrected_p=_field(d, "corrected_p", "a number", where),
+                stat_kind=_field(d, "statistic_kind", "a string", where),
+                n_used=_field(d, "n_permutations_used", "an integer", where),
+                degenerate_points=_field(d, "degenerate_points", "an integer", where),
             ),
-            verdict=d["verdict"],
+            verdict=_field(d, "verdict", "a string", where),
         )
 
 
@@ -124,14 +126,32 @@ class DecisionRecord:
     @classmethod
     def from_dict(cls, d):
         return cls(
-            stage_prev=d["stage_prev"],
-            stage_curr=d["stage_curr"],
-            families={name: FamilyOutcome.from_dict(d["families"][name])
+            stage_prev=_field(d, "stage_prev", "a string"),
+            stage_curr=_field(d, "stage_curr", "a string"),
+            families={name: FamilyOutcome.from_dict(d["families"][name],
+                                                    f"families.{name}.")
                       for name in FAMILIES},
-            overall=d["overall"],
-            recommendation=d["recommendation"],
-            provenance=dict(d["provenance"]),
+            overall=_field(d, "overall", "a string"),
+            recommendation=_field(d, "recommendation", "a string"),
+            provenance=dict(_field(d, "provenance", "an object")),
         )
+
+
+# the JSON types a report's fields are read back as
+_JSON_TYPES = {
+    "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
+    "a string": lambda v: isinstance(v, str),
+    "an object": lambda v: isinstance(v, dict),
+}
+
+
+def _field(d, key, json_type, where=""):
+    """``d[key]``, which must be ``json_type``, a key of ``_JSON_TYPES``."""
+    v = d[key]
+    if not _JSON_TYPES[json_type](v):
+        raise TypeError(f"{where}{key} must be {json_type}, not {v!r}")
+    return v
 
 
 def _sig6(x):
@@ -186,13 +206,10 @@ def decide(prev, curr, cfg):
     """
     if not all(np.array_equal(s.grid.points, cfg.grid.points) for s in (prev, curr)):
         raise ValueError("stage samples are not evaluated on the configured grid")
-    domains = {"upper_tail": cfg.grid.upper_tail_mask(),
-               "lower_tail": cfg.grid.lower_tail_mask(), "variance": None}
     outcomes = {}
     p_values = []
     for name in FAMILIES:
-        res = westfall_young(prev, curr, *family_args(name, cfg.perm, cfg.pooled),
-                             domains[name])
+        res = westfall_young(prev, curr, *family_args(name, cfg.perm, cfg.grid, cfg.pooled))
         p_values.append(res.corrected_p)
         band = band_p_value(res.corrected_p, cfg.alpha)
         # store 6-significant-digit values so save -> load is the identity

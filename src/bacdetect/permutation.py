@@ -122,21 +122,13 @@ def _batch_moments(xd, members, j1, j2):
     return mean1, var1, mean2, var2
 
 
-def _pvalues(moments, j1, j2, test):
-    """Pointwise p-values and the degenerate-point mask from group moments."""
-    mean1, var1, mean2, var2 = moments
-    if test.kind == "mean":
-        return welch_mean_p(mean1, var1, j1, mean2, var2, j2,
-                            test.direction, pooled=test.pooled)
-    return variance_f_p(var1, j1, var2, j2)
-
-
 def _statistic(moments, j1, j2, test):
-    """The pointwise statistic, its degenerate mask and its bounds function.
+    """The pointwise statistic, its degenerate mask, its bounds and its p.
 
     p falls as the statistic grows; ``bounds(c)`` returns ``(lo, hi)``
     with p <= c wherever the statistic is > hi and p > c wherever it is
-    < lo, whatever each point's degrees of freedom.
+    < lo, whatever each point's degrees of freedom.  ``pvalue(i)`` is the
+    p at the entries ``i`` of the moment arrays.
     """
     mean1, var1, mean2, var2 = moments
     if test.kind == "mean":
@@ -144,9 +136,12 @@ def _statistic(moments, j1, j2, test):
                                   test.direction, pooled=test.pooled)
         # Welch's df lies between the smaller group's and the pooled df
         df_min = j1 + j2 - 2 if test.pooled else min(j1, j2) - 1
-        return t, degenerate, lambda c: t_bounds(c, df_min, j1 + j2 - 2)
+        return (t, degenerate, lambda c: t_bounds(c, df_min, j1 + j2 - 2),
+                lambda i: welch_mean_p(mean1[i], var1[i], j1, mean2[i], var2[i], j2,
+                                       test.direction, pooled=test.pooled)[0])
     f, degenerate = variance_f(var1, var2)
-    return f, degenerate, lambda c: f_bounds(c, j1 - 1, j2 - 1)
+    return (f, degenerate, lambda c: f_bounds(c, j1 - 1, j2 - 1),
+            lambda i: variance_f_p(var1[i], j1, var2[i], j2)[0])
 
 
 def _block_counts(xd, members, j1, j2, test, cut):
@@ -161,8 +156,8 @@ def _block_counts(xd, members, j1, j2, test, cut):
     reduces to the mean of the two middle p's, so its median is taken.
     The counts equal those of reducing the full p matrix.
     """
-    moments = _batch_moments(xd, members, j1, j2)
-    stat, degenerate, bounds = _statistic(moments, j1, j2, test)
+    stat, degenerate, bounds, pvalue = _statistic(
+        _batch_moments(xd, members, j1, j2), j1, j2, test)
     m = stat.shape[1]
     counts = {}
     for kind, c in cut.items():
@@ -170,16 +165,14 @@ def _block_counts(xd, members, j1, j2, test, cut):
         le = stat > hi
         rows, cols = np.nonzero(degenerate | ~(le | (stat < lo)))
         if rows.size:
-            p, _ = _pvalues([v[rows, cols] for v in moments], j1, j2, test)
-            le[rows, cols] = p <= c
+            le[rows, cols] = pvalue((rows, cols)) <= c
         hits = np.count_nonzero(le, axis=1)
         need = {"minP": 1, "maxP": m, "medP": m // 2 + 1}[kind]
         ok = hits >= need
         if kind == "medP" and m % 2 == 0:
             tie = np.flatnonzero(hits == need - 1)
             if tie.size:
-                p, _ = _pvalues([v[tie] for v in moments], j1, j2, test)
-                ok[tie] = np.median(p, axis=1) <= c
+                ok[tie] = np.median(pvalue(tie), axis=1) <= c
         counts[kind] = int(np.count_nonzero(ok))
     return counts
 
@@ -215,8 +208,9 @@ def westfall_young_all(g1, g2, test, cfg, domain=None):
     j_total = j1 + j2
 
     identity = _members(np.arange(j1)[None], j_total)
-    p_obs, deg = _pvalues(_batch_moments(xd, identity, j1, j2), j1, j2, test)
-    observed = {k: float(f(p_obs[0])) for k, f in _REDUCE.items()}
+    _, deg, _, pvalue = _statistic(_batch_moments(xd, identity, j1, j2), j1, j2, test)
+    p_obs = pvalue(0)
+    observed = {k: float(f(p_obs)) for k, f in _REDUCE.items()}
 
     n_used = comb(j_total, j1) if cfg.exhaustive else cfg.n_permutations
     if bool(np.all(deg)):

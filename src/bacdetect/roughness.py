@@ -38,16 +38,15 @@ class QuantileGrid:
     tau: float = 0.25
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = self.points = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least 2 points")
         if pts[0] < 0 or pts[-1] > 1 or np.any(np.diff(pts) <= 0):
             raise ValueError("grid points must be strictly increasing within [0, 1]")
         if not (0 < self.tau < 0.5):
             raise ValueError("tau must lie in (0, 0.5)")
-        if not np.any(pts <= self.tau) or not np.any(pts >= 1 - self.tau):
+        if not (self.upper_tail_mask().any() and self.lower_tail_mask().any()):
             raise ValueError("grid must reach into both tails")
-        self.points = pts
 
     @property
     def m(self):

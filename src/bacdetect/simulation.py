@@ -17,6 +17,7 @@ import numpy as np
 
 from .decision import family_args
 from .permutation import PermutationConfig, westfall_young
+from .roughness import QuantileGrid
 
 # Cholesky jitter escalation, relative to sigma_f^2
 _JITTER_START = 1e-10
@@ -133,11 +134,11 @@ def run_tail_tests(x, prev, curr, tau, perm_cfg):
     """Upper- and lower-tail mean tests on raw curve groups.
 
     The ``upper_tail`` and ``lower_tail`` families of the stage-pair
-    decision, tested on x <= tau and on x >= 1 - tau.
+    decision, with the points x as the quantile grid.
     """
-    upper = westfall_young(prev, curr, *family_args("upper_tail", perm_cfg), x <= tau)
-    lower = westfall_young(prev, curr, *family_args("lower_tail", perm_cfg), x >= 1.0 - tau)
-    return upper, lower
+    grid = QuantileGrid(points=x, tau=tau)
+    return tuple(westfall_young(prev, curr, *family_args(name, perm_cfg, grid))
+                 for name in ("upper_tail", "lower_tail"))
 
 
 def estimate_type2(cfg):

@@ -12,6 +12,7 @@ locations are rejected because the tests need replicate curves.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -50,8 +51,8 @@ class HeightMatrix:
         z = np.asarray(self.z, dtype=float)
         if z.ndim != 2 or z.shape[0] < 1 or z.shape[1] < 1:
             raise SurfaceDataError("height matrix must be a non-empty 2-D grid")
-        if self.dx <= 0 or self.dy <= 0:
-            raise SurfaceDataError("pixel pitch must be positive")
+        if not (0 < self.dx < math.inf and 0 < self.dy < math.inf):
+            raise SurfaceDataError("pixel pitch must be finite and positive")
         self.z = z
 
     @property
@@ -142,6 +143,14 @@ def _clean(z, path):
     return z, dropped
 
 
+def _manifest_pitch(manifest, key, default, manifest_path):
+    v = manifest.get(key, default)
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not 0 < v < math.inf:
+        raise SurfaceDataError(f"manifest {manifest_path}: {key!r} pixel pitch must be "
+                               f"a number, finite and positive, not {v!r}")
+    return float(v)
+
+
 def load_stage(path):
     """Load one stage of location matrices from a directory or manifest.
 
@@ -171,21 +180,25 @@ def load_stage(path):
         manifest_path = None
 
     if manifest_path is not None:
-        with open(manifest_path) as fh:
-            manifest = json.load(fh)
+        try:
+            with open(manifest_path) as fh:
+                manifest = json.load(fh)
+        except ValueError as exc:
+            raise SurfaceDataError(
+                f"manifest {manifest_path} is not valid JSON: {exc}") from exc
         if not isinstance(manifest, dict):
             raise SurfaceDataError(f"manifest {manifest_path} is not a JSON object")
         names = manifest.get("files", [])
         if not (isinstance(names, list) and all(isinstance(f, str) for f in names)):
             raise SurfaceDataError(
                 f"manifest {manifest_path}: 'files' must be a list of file names")
-        label = manifest.get("stage_label") or manifest_path.parent.name
-        try:
-            dx = float(manifest.get("dx_um", dx))
-            dy = float(manifest.get("dy_um", dy))
-        except (TypeError, ValueError) as exc:
+        label = manifest.get("stage_label")
+        if label is not None and not isinstance(label, str):
             raise SurfaceDataError(
-                f"manifest {manifest_path}: pixel pitch must be a number ({exc})") from exc
+                f"manifest {manifest_path}: 'stage_label' must be a string, not {label!r}")
+        label = label or manifest_path.parent.name
+        dx = _manifest_pitch(manifest, "dx_um", dx, manifest_path)
+        dy = _manifest_pitch(manifest, "dy_um", dy, manifest_path)
         files = [manifest_path.parent / f for f in names]
     else:
         if not path.is_dir():
@@ -223,10 +236,9 @@ def load_report(path):
     path = Path(path)
     if not path.exists():
         raise SurfaceDataError(f"no such report: {path}")
-    with open(path) as fh:
-        payload = json.load(fh)
     try:
-        return DecisionRecord.from_dict(payload)
+        with open(path) as fh:
+            return DecisionRecord.from_dict(json.load(fh))
     except (KeyError, TypeError, ValueError) as exc:
         raise SurfaceDataError(
             f"{path} is not a bacdetect report: {type(exc).__name__} {exc}") from exc

@@ -193,19 +193,22 @@ class TestDecide:
         assert main(["report", str(out)]) == 0
         assert capsys.readouterr().out.strip() in first
 
-    @pytest.mark.parametrize("payload", [{"schema": "x"}, [1, 2]])
+    # a str is the file's raw text; anything else is written as JSON
+    @pytest.mark.parametrize("payload", [{"schema": "x"}, [1, 2], "", "{not json"])
     def test_report_of_wrong_shape_exits_error(self, tmp_path, capsys, payload):
         path = tmp_path / "odd.json"
-        path.write_text(json.dumps(payload))
+        path.write_text(payload if isinstance(payload, str) else json.dumps(payload))
         assert main(["report", str(path)]) == EXIT_ERROR
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"{path} is not a bacdetect report" in captured.err
 
-    @pytest.mark.parametrize("manifest", [["a.csv"], {"files": "a.csv"}])
+    # a str is the manifest's raw text; anything else is written as JSON
+    @pytest.mark.parametrize("manifest", [["a.csv"], {"files": "a.csv"}, "", "{not json"])
     def test_manifest_of_wrong_shape_exits_error(self, tmp_path, rng, capsys, manifest):
         prev, curr = _improved_pair(tmp_path, rng)
-        (curr / "manifest.json").write_text(json.dumps(manifest))
+        (curr / "manifest.json").write_text(
+            manifest if isinstance(manifest, str) else json.dumps(manifest))
         code = main(["decide", str(prev), str(curr), *DECIDE_FLAGS,
                      "--out", str(tmp_path / "r.json")])
         assert code == EXIT_ERROR

@@ -5,8 +5,10 @@ import pytest
 from scipy.integrate import quad, simpson
 from scipy.stats import ttest_ind
 
-from bacdetect import simulation
+from bacdetect import decision, simulation
+from bacdetect.decision import DecisionConfig, decide
 from bacdetect.permutation import PermutationConfig
+from bacdetect.roughness import QuantileGrid, StageSample
 from bacdetect.simulation import (
     SimConfig,
     estimate_type2,
@@ -216,3 +218,38 @@ class TestEstimateType2:
         # two tails per run, each with its own stream
         assert len(seeds) == 16
         assert len(set(seeds)) == 16
+
+
+def test_decide_and_tail_tests_make_the_same_family_calls(monkeypatch, rng):
+    # the simulation's tail tests are the decision's tail families on a
+    # grid of the run's points: same test, statistic, stream and domain
+    x = np.sort(rng.uniform(0.0, 1.0, 40))
+    tau = 0.2
+    perm = PermutationConfig(n_permutations=30, seed=6)
+    calls = {}
+
+    def recorder(module):
+        original = module.westfall_young
+
+        def record(g1, g2, test, kind, cfg, domain=None):
+            calls.setdefault(module, []).append((test, kind, cfg.seed, domain))
+            return original(g1, g2, test, kind, cfg, domain)
+
+        return record
+
+    for module in (decision, simulation):
+        monkeypatch.setattr(module, "westfall_young", recorder(module))
+    grid = QuantileGrid(points=x, tau=tau)
+    prev, curr = rng.standard_normal((2, 5, x.size))
+    decide(StageSample(prev, grid), StageSample(curr, grid),
+           DecisionConfig(grid=grid, perm=perm))
+    simulation.run_tail_tests(x, prev, curr, tau, perm)
+
+    upper, lower, variance = calls[decision]
+    assert len(calls[simulation]) == 2
+    for ours, theirs in zip((upper, lower), calls[simulation]):
+        assert ours[:3] == theirs[:3]
+        assert np.array_equal(ours[3], theirs[3])
+    assert np.array_equal(upper[3], x <= tau)
+    assert np.array_equal(lower[3], x >= 1.0 - tau)
+    assert variance[3] is None

@@ -54,6 +54,12 @@ class TestHeightMatrix:
         with pytest.raises(SurfaceDataError):
             HeightMatrix(z=np.zeros((2, 2)), dx=0.0)
 
+    @pytest.mark.parametrize("dx, dy", [(np.nan, 1.0), (1.0, np.nan), (np.inf, 1.0),
+                                        (1.0, -np.inf)])
+    def test_non_finite_pitch(self, dx, dy):
+        with pytest.raises(SurfaceDataError, match="finite and positive"):
+            HeightMatrix(z=np.zeros((2, 2)), dx=dx, dy=dy)
+
 
 class TestLoadStage:
     def test_single_location_rejected(self, tmp_path):
@@ -180,6 +186,16 @@ class TestLoadStage:
         ({"files": ["a.csv", 2]}, "'files' must be a list of file names"),
         ({"files": ["a.csv", "b.csv"], "dx_um": None}, "pixel pitch must be a number"),
         ({"files": ["a.csv", "b.csv"], "dy_um": "abc"}, "pixel pitch must be a number"),
+        ({"files": ["a.csv", "b.csv"], "stage_label": ["x", 1]},
+         "'stage_label' must be a string"),
+        ({"files": ["a.csv", "b.csv"], "dx_um": -1}, "'dx_um' pixel pitch must be a number"),
+        ({"files": ["a.csv", "b.csv"], "dy_um": 0}, "'dy_um' pixel pitch must be a number"),
+        ({"files": ["a.csv", "b.csv"], "dx_um": float("nan")},
+         "'dx_um' pixel pitch must be a number"),
+        ({"files": ["a.csv", "b.csv"], "dy_um": float("inf")},
+         "'dy_um' pixel pitch must be a number"),
+        ({"files": ["a.csv", "b.csv"], "dx_um": True}, "'dx_um' pixel pitch must be a number"),
+        ({"files": ["a.csv", "b.csv"], "dy_um": "0.5"}, "'dy_um' pixel pitch must be a number"),
     ])
     def test_manifest_of_wrong_shape(self, tmp_path, rng, manifest, message):
         d = tmp_path / "stage"
@@ -304,6 +320,35 @@ class TestReportPersistence:
         with pytest.raises(SurfaceDataError, match="is not a bacdetect report") as err:
             load_report(path)
         assert str(path) in str(err.value)
+
+    @pytest.mark.parametrize("field, value", [
+        ("families.variance.corrected_p", "0.5"),
+        ("families.variance.corrected_p", True),
+        ("families.upper_tail.observed_stat", None),
+        ("families.lower_tail.n_permutations_used", 200.0),
+        ("families.lower_tail.degenerate_points", "0"),
+        ("families.upper_tail.statistic_kind", 1),
+        ("families.upper_tail.verdict", 1),
+        ("stage_prev", {"a": 1}),
+        ("stage_curr", ["b"]),
+        ("overall", None),
+        ("recommendation", 0),
+        ("provenance", [1, 2]),
+    ])
+    def test_field_of_wrong_type(self, tmp_path, rng, field, value):
+        path = tmp_path / "report.json"
+        save_report(_small_record(rng), path)
+        payload = json.loads(path.read_text())
+        *parents, key = field.split(".")
+        node = payload
+        for name in parents:
+            node = node[name]
+        node[key] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(SurfaceDataError, match="is not a bacdetect report") as err:
+            load_report(path)
+        assert str(path) in str(err.value)
+        assert f"{field} must be" in str(err.value)
 
 
 class TestStageRecord:
