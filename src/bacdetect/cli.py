@@ -230,12 +230,12 @@ def cmd_simulate(args):
         null_model=args.null,
     ) for n in args.n]
     rows = []
-    header = (f"{'N':>4}  {'avg_L2_pct':>10}  {'type2_upper':>11}  "
-              f"{'type2_lower':>11}")
-    print(header)
     for cfg in configs:
         n = cfg.n_curves_per_group
         res = estimate_type2(cfg)
+        # the header goes out with the first row, so a failed run prints nothing
+        if not rows:
+            print(f"{'N':>4}  {'avg_L2_pct':>10}  {'type2_upper':>11}  {'type2_lower':>11}")
         rows.append({"n_curves": n, "avg_l2_pct": res.avg_l2_pct,
                      "type2_upper": res.type2_upper,
                      "type2_lower": res.type2_lower, "runs": res.runs_used})

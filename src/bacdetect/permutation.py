@@ -29,6 +29,9 @@ FAMILY_KINDS = tuple(_REDUCE)
 # relabelings are drawn in fixed-size blocks; block k is keyed by
 # (seed, k) so a run is reproducible regardless of execution order
 _DRAW_BLOCK = 512
+# blocks are worked in row tiles of at most this many entries: a tile's
+# float arrays (125 KiB) stay in L2 and under malloc's mmap threshold
+_TILE = 16_000
 
 # refuse exhaustive enumeration beyond this many label assignments
 _MAX_EXHAUSTIVE = 500_000
@@ -75,10 +78,6 @@ def _as_curves(g):
     return np.asarray(curves, dtype=float)
 
 
-def _block_rng(seed, block):
-    return np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), block]))
-
-
 def _members(picks, j_total):
     """Boolean membership rows; row i puts curves ``picks[i]`` in group 1."""
     members = np.zeros((len(picks), j_total), dtype=bool)
@@ -88,52 +87,63 @@ def _members(picks, j_total):
 
 def _batch_relabelings(seed, block, count, j_total, j1):
     """Membership matrix for the first ``count`` permutations of ``block``."""
-    u = _block_rng(seed, block).random((count, j_total))
+    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), block]))
+    u = rng.random((count, j_total))
     order = np.argsort(u, axis=1, kind="stable")
     return _members(order[:, :j1], j_total)
 
 
-def _batch_moments(xd, members, j1, j2):
+def _pooled_sums(xd):
+    """Squares and column sums of the pooled data, shared by a block's tiles."""
+    xx = xd * xd
+    return xx, xd.sum(axis=0), xx.sum(axis=0)
+
+
+def _batch_moments(xd, members, j1, j2, means=True, sums=None):
     """Group means and variances for a batch of relabelings.
 
-    ``xd`` is the pooled (j1+j2, md) data restricted to the tested
-    domain, ``members`` a (n, j1+j2) boolean matrix selecting group 1.
-    Returns the (n, md) arrays ``(mean1, var1, mean2, var2)``.
+    ``xd`` is the pooled (j1+j2, md) data on the tested domain, ``sums``
+    its ``_pooled_sums`` if at hand, ``members`` a (n, j1+j2) boolean
+    matrix selecting group 1.  Returns the (n, md) arrays ``(mean1, var1,
+    mean2, var2)``; mean gaps are snapped only if ``means``, for the t test.
     """
+    xx, s_tot, q_tot = sums or _pooled_sums(xd)
     b = members.astype(float)
-    s_tot = xd.sum(axis=0)
-    q_tot = (xd * xd).sum(axis=0)
     s1 = b @ xd
-    q1 = b @ (xd * xd)
+    q1 = b @ xx
     s2 = s_tot - s1
-    q2 = q_tot - q1
     mean1 = s1 / j1
     mean2 = s2 / j2
-    var1 = np.clip((q1 - s1 * mean1) / (j1 - 1), 0.0, None)
-    var2 = np.clip((q2 - s2 * mean2) / (j2 - 1), 0.0, None)
+    # var = (q - s * mean) / (j - 1), formed in the buffers of s and q
+    var1 = np.subtract(q1, np.multiply(s1, mean1, out=s1), out=s1)
+    var1 /= j1 - 1
+    q2 = np.subtract(q_tot, q1, out=q1)
+    var2 = np.subtract(q2, np.multiply(s2, mean2, out=s2), out=s2)
+    var2 /= j2 - 1
     # the matmul moments leave cancellation residue when curves coincide;
-    # snap sub-roundoff variances and mean gaps to exact zero so the
-    # degenerate-point convention can fire
-    scale = q_tot / (j1 + j2)
-    vtol = 1e-10 * scale
-    var1 = np.where(var1 <= vtol, 0.0, var1)
-    var2 = np.where(var2 <= vtol, 0.0, var2)
-    mean2 = np.where(np.abs(mean1 - mean2) ** 2 <= vtol, mean1, mean2)
+    # snap sub-roundoff variances (negative ones too, as vtol >= 0) and
+    # mean gaps to exact zero so the degenerate-point convention can fire
+    vtol = 1e-10 * (q_tot / (j1 + j2))
+    np.copyto(var1, 0.0, where=var1 <= vtol)
+    np.copyto(var2, 0.0, where=var2 <= vtol)
+    if means:
+        gap = np.subtract(mean1, mean2, out=q2)
+        np.copyto(mean2, mean1, where=np.multiply(gap, gap, out=gap) <= vtol)
     return mean1, var1, mean2, var2
 
 
-def _statistic(moments, j1, j2, test):
+def _statistic(xd, members, j1, j2, test, sums=None):
     """The pointwise statistic, its degenerate mask, its bounds and its p.
 
     p falls as the statistic grows; ``bounds(c)`` returns ``(lo, hi)``
     with p <= c wherever the statistic is > hi and p > c wherever it is
     < lo, whatever each point's degrees of freedom.  ``pvalue(i)`` is the
-    p at the entries ``i`` of the moment arrays.
+    p at the entries ``i`` of the moment arrays of ``members``.
     """
-    mean1, var1, mean2, var2 = moments
+    mean1, var1, mean2, var2 = _batch_moments(xd, members, j1, j2, test.kind == "mean", sums)
     if test.kind == "mean":
-        t, _, degenerate = mean_t(mean1, var1, j1, mean2, var2, j2,
-                                  test.direction, pooled=test.pooled)
+        t, degenerate = mean_t(mean1, var1, j1, mean2, var2, j2,
+                               test.direction, pooled=test.pooled)
         # Welch's df lies between the smaller group's and the pooled df
         df_min = j1 + j2 - 2 if test.pooled else min(j1, j2) - 1
         return (t, degenerate, lambda c: t_bounds(c, df_min, j1 + j2 - 2),
@@ -145,7 +155,7 @@ def _statistic(moments, j1, j2, test):
 
 
 def _block_counts(xd, members, j1, j2, test, cut):
-    """Per kind, how many relabelings in the block reduce to <= ``cut``.
+    """Per kind in ``cut``, how many relabelings reduce to <= its cut.
 
     Counted in statistic space: a point is settled by the bounds on its
     statistic, and p is evaluated only at the few points between the
@@ -154,31 +164,37 @@ def _block_counts(xd, members, j1, j2, test, cut):
     maxP and medP are <= cut exactly when at least 1, m or m // 2 + 1
     points are; for an even m, a row with exactly m / 2 such points
     reduces to the mean of the two middle p's, so its median is taken.
-    The counts equal those of reducing the full p matrix.
+    The counts equal those of reducing the full p matrix.  The rows are
+    worked through in tiles of at most ``_TILE`` entries.
     """
-    stat, degenerate, bounds, pvalue = _statistic(
-        _batch_moments(xd, members, j1, j2), j1, j2, test)
-    m = stat.shape[1]
-    counts = {}
-    for kind, c in cut.items():
-        lo, hi = bounds(c)
-        le = stat > hi
-        rows, cols = np.nonzero(degenerate | ~(le | (stat < lo)))
-        if rows.size:
-            le[rows, cols] = pvalue((rows, cols)) <= c
-        hits = np.count_nonzero(le, axis=1)
-        need = {"minP": 1, "maxP": m, "medP": m // 2 + 1}[kind]
-        ok = hits >= need
-        if kind == "medP" and m % 2 == 0:
-            tie = np.flatnonzero(hits == need - 1)
-            if tie.size:
-                ok[tie] = np.median(pvalue(tie), axis=1) <= c
-        counts[kind] = int(np.count_nonzero(ok))
+    m = xd.shape[1]
+    need = {"minP": 1, "maxP": m, "medP": m // 2 + 1}
+    counts = Counter(dict.fromkeys(cut, 0))
+    limits, sums = None, _pooled_sums(xd)
+    step = max(1, _TILE // m)
+    for start in range(0, len(members), step):
+        stat, degenerate, bounds, pvalue = _statistic(
+            xd, members[start:start + step], j1, j2, test, sums)
+        limits = limits or {kind: bounds(c) for kind, c in cut.items()}
+        for kind, c in cut.items():
+            lo, hi = limits[kind]
+            le = stat > hi
+            # a flat index: 2-D nonzero is ten times slower on these shapes
+            flat = np.flatnonzero(degenerate | ~(le | (stat < lo)))
+            if flat.size:
+                le.flat[flat] = pvalue(np.divmod(flat, m)) <= c
+            hits = np.count_nonzero(le, axis=1)
+            ok = hits >= need[kind]
+            if kind == "medP" and m % 2 == 0:
+                tie = np.flatnonzero(hits == need[kind] - 1)
+                if tie.size:
+                    ok[tie] = np.median(pvalue(tie), axis=1) <= c
+            counts[kind] += int(np.count_nonzero(ok))
     return counts
 
 
-def westfall_young_all(g1, g2, test, cfg, domain=None):
-    """All three family reductions from a single permutation pass.
+def westfall_young_all(g1, g2, test, cfg, domain=None, kinds=FAMILY_KINDS):
+    """Family reductions from a single permutation pass.
 
     Parameters
     ----------
@@ -186,13 +202,16 @@ def westfall_young_all(g1, g2, test, cfg, domain=None):
     test : PointwiseTest
     cfg : PermutationConfig
     domain : bool array over the grid, optional
+    kinds : the reductions to tally, from FAMILY_KINDS
 
     Returns
     -------
-    dict mapping each of FAMILY_KINDS to a FamilyTestResult.  The
-    corrected p is the share of relabelings whose family statistic is
-    <= the observed one.
+    dict mapping each of ``kinds`` to a FamilyTestResult.  The corrected
+    p is the share of relabelings whose family statistic is <= the
+    observed one.
     """
+    if not set(kinds) <= set(_REDUCE):
+        raise ValueError(f"unknown family statistic in {kinds!r}")
     x1 = _as_curves(g1)
     x2 = _as_curves(g2)
     if x1.ndim != 2 or x2.ndim != 2 or x1.shape[1] != x2.shape[1]:
@@ -206,23 +225,23 @@ def westfall_young_all(g1, g2, test, cfg, domain=None):
         raise ValueError("domain mask selects no grid points")
     xd = np.vstack([x1, x2])[:, mask]
     j_total = j1 + j2
+    n_used = comb(j_total, j1) if cfg.exhaustive else cfg.n_permutations
+    if cfg.exhaustive and n_used > _MAX_EXHAUSTIVE:
+        raise ValueError(f"{n_used} label assignments is too many to enumerate")
 
     identity = _members(np.arange(j1)[None], j_total)
-    _, deg, _, pvalue = _statistic(_batch_moments(xd, identity, j1, j2), j1, j2, test)
+    _, deg, _, pvalue = _statistic(xd, identity, j1, j2, test)
     p_obs = pvalue(0)
-    observed = {k: float(f(p_obs)) for k, f in _REDUCE.items()}
+    observed = {k: float(_REDUCE[k](p_obs)) for k in kinds}
 
-    n_used = comb(j_total, j1) if cfg.exhaustive else cfg.n_permutations
     if bool(np.all(deg)):
         # the groups coincide at every tested point: there is no evidence
         # for any one-sided alternative, so the corrected p is 1 rather
         # than the rank of the all-0.5 vector among mixed relabelings
-        counts = dict.fromkeys(_REDUCE, n_used)
+        counts = dict.fromkeys(kinds, n_used)
     else:
         starts = range(0, n_used, _DRAW_BLOCK)
         if cfg.exhaustive:
-            if n_used > _MAX_EXHAUSTIVE:
-                raise ValueError(f"{n_used} label assignments is too many to enumerate")
             # a block at a time: all C(20, 10) rows at once would cost ~40 MB
             picks = itertools.combinations(range(j_total), j1)
             blocks = (_members(np.array(list(itertools.islice(picks, _DRAW_BLOCK))), j_total)
@@ -233,9 +252,7 @@ def westfall_young_all(g1, g2, test, cfg, domain=None):
         # ties count as <=; the tolerance absorbs ulp-level drift between the
         # batched and single-row BLAS paths
         cut = {k: v + 1e-12 + 1e-9 * v for k, v in observed.items()}
-        counts = Counter()
-        for members in blocks:
-            counts.update(_block_counts(xd, members, j1, j2, test, cut))
+        counts = sum((_block_counts(xd, b, j1, j2, test, cut) for b in blocks), Counter())
 
     # sampled draws need not include the identity assignment
     floor = 0 if cfg.exhaustive else 1
@@ -244,15 +261,13 @@ def westfall_young_all(g1, g2, test, cfg, domain=None):
                                 stat_kind=k,
                                 n_used=n_used,
                                 degenerate_points=int(np.count_nonzero(deg)))
-            for k in _REDUCE}
+            for k in kinds}
 
 
 def westfall_young(g1, g2, test, kind, cfg, domain=None):
     """Permutation-corrected family test of two groups of curves.
 
-    The ``kind`` entry of ``westfall_young_all``; ``kind`` is one of
+    ``westfall_young_all`` tallying the one reduction ``kind``, one of
     'minP', 'maxP', 'medP'.  Returns a FamilyTestResult.
     """
-    if kind not in _REDUCE:
-        raise ValueError(f"unknown family statistic {kind!r}")
-    return westfall_young_all(g1, g2, test, cfg, domain)[kind]
+    return westfall_young_all(g1, g2, test, cfg, domain, kinds=(kind,))[kind]

@@ -6,7 +6,9 @@ the variance curves.  Both p-values reduce to the regularized incomplete
 beta function.  The permutation engine needs p only for the observed
 labelling; for relabelings it screens the statistic itself against the
 bounds of ``t_bounds`` / ``f_bounds`` and evaluates p only at the points
-those bounds leave unsettled.
+those bounds leave unsettled.  So ``mean_t`` returns t and the degenerate
+mask only; Welch's df, which the screen never reads, is formed by
+``welch_mean_p`` for the points whose p it computes.
 """
 
 from __future__ import annotations
@@ -77,34 +79,40 @@ def mean_t(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
 
     All summary arguments broadcast, so a whole batch of permuted
     relabelings can be evaluated in one call.  Returns the arrays
-    ``(t, df, degenerate)``, with t oriented so that large values favour
+    ``(t, degenerate)``, with t oriented so that large values favour
     ``direction``.  Where both groups have zero variance the point is
-    flagged degenerate, df is 1 and t is +inf, -inf or 0 as the mean
-    difference agrees with ``direction``, disagrees or vanishes.
+    flagged degenerate and t is +inf, -inf or 0 as the mean difference
+    agrees with ``direction``, disagrees or vanishes.
     """
     if direction not in ("greater", "less"):
         raise ValueError("direction must be 'greater' or 'less'")
-    mean1, var1 = np.asarray(mean1, dtype=float), np.asarray(var1, dtype=float)
-    mean2, var2 = np.asarray(mean2, dtype=float), np.asarray(var2, dtype=float)
-    diff = mean1 - mean2
+    mean1, var1, mean2, var2 = np.broadcast_arrays(
+        *(np.asarray(a, dtype=float) for a in (mean1, var1, mean2, var2)))
+    # formed in place: every temporary is a pass over a batch-sized array
+    diff = np.asarray(mean1 - mean2)
     if direction == "less":
-        diff = -diff
+        np.negative(diff, out=diff)
     if pooled:
-        vp = ((j1 - 1) * var1 + (j2 - 1) * var2) / (j1 + j2 - 2)
-        se2 = vp * (1.0 / j1 + 1.0 / j2)
-        df = np.broadcast_to(float(j1 + j2 - 2), np.shape(se2)).copy()
+        se2 = np.asarray(((j1 - 1) * var1 + (j2 - 1) * var2) / (j1 + j2 - 2)
+                         * (1.0 / j1 + 1.0 / j2))
     else:
-        a = var1 / j1
-        b = var2 / j2
-        se2 = a + b
-        with np.errstate(divide="ignore", invalid="ignore"):
-            df = se2 * se2 / (a * a / (j1 - 1) + b * b / (j2 - 1))
+        se2 = np.asarray(var1 / j1)
+        se2 += var2 / j2
     degenerate = se2 <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = diff / np.sqrt(se2)
-    df = np.where(degenerate, 1.0, df)
-    t = np.where(degenerate & (diff == 0.0), 0.0, t)
-    return t, df, degenerate
+        t = np.divide(diff, np.sqrt(se2, out=se2), out=se2)
+    np.copyto(t, 0.0, where=degenerate & (diff == 0.0))
+    return t, degenerate
+
+
+def _mean_df(var1, j1, var2, j2, pooled):
+    """The df of ``mean_t``'s t: j1 + j2 - 2 if pooled, otherwise Welch's."""
+    if pooled:
+        return float(j1 + j2 - 2)
+    a = np.asarray(var1, dtype=float) / j1
+    b = np.asarray(var2, dtype=float) / j2
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (a + b) * (a + b) / (a * a / (j1 - 1) + b * b / (j2 - 1))
 
 
 def welch_mean_p(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
@@ -114,9 +122,10 @@ def welch_mean_p(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
     At a degenerate point (zero variance in both groups) p follows the
     sign of the mean difference: 0.5 for equal means (no evidence either
     way), otherwise 0 or 1 as the difference agrees with ``direction`` or
-    not; the infinite or zero t of ``mean_t`` gives exactly that.
+    not; the infinite or zero t of ``mean_t`` gives exactly that, with df 1.
     """
-    t, df, degenerate = mean_t(mean1, var1, j1, mean2, var2, j2, direction, pooled)
+    t, degenerate = mean_t(mean1, var1, j1, mean2, var2, j2, direction, pooled)
+    df = np.where(degenerate, 1.0, _mean_df(var1, j1, var2, j2, pooled))
     return student_t_sf(t, df), degenerate
 
 
@@ -129,8 +138,9 @@ def variance_f(var1, var2):
     var2 = np.asarray(var2, dtype=float)
     degenerate = var2 <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
-        f = var1 / var2
-    return np.where(degenerate, 1.0, f), degenerate
+        f = np.asarray(var1 / var2)
+    np.copyto(f, 1.0, where=degenerate)
+    return f, degenerate
 
 
 def variance_f_p(var1, j1, var2, j2):

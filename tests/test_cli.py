@@ -267,6 +267,14 @@ class TestSimulate:
             assert captured.out == ""
             assert word in captured.err
 
+    def test_failed_run_prints_no_header(self, capsys):
+        # the two input points pass the settings check, then fail in the run
+        assert main(["simulate", "--runs", "1", "--input-points", "2",
+                     "--permutations", "50"]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error" in captured.err
+
     def test_invalid_later_row_fails_before_any_run(self, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cli, "estimate_type2", calls.append)

@@ -12,6 +12,7 @@ from scipy.stats import chisquare
 from bacdetect.permutation import (
     _DRAW_BLOCK,
     _REDUCE,
+    _TILE,
     FAMILY_KINDS,
     PermutationConfig,
     PointwiseTest,
@@ -163,6 +164,34 @@ class TestWestfallYoung:
         for kind in FAMILY_KINDS:
             assert bundle[kind] == westfall_young(g1, g2, test, kind, cfg)
 
+    def test_single_kind_matches_all_on_wide_domain(self, rng):
+        g1, g2 = _toy_groups(rng, j1=6, j2=5, m=1000, shift=0.1)
+        cfg = PermutationConfig(n_permutations=1100, seed=3)
+        for test in (PointwiseTest(kind="mean", direction="greater"),
+                     PointwiseTest(kind="variance")):
+            bundle = westfall_young_all(g1, g2, test, cfg)
+            for kind in FAMILY_KINDS:
+                assert westfall_young(g1, g2, test, kind, cfg) == bundle[kind]
+
+    def test_kinds_selects_reductions(self, rng):
+        g1, g2 = _toy_groups(rng)
+        cfg = PermutationConfig(n_permutations=300, seed=8)
+        test = PointwiseTest(kind="variance")
+        some = westfall_young_all(g1, g2, test, cfg, kinds=("medP", "minP"))
+        assert list(some) == ["medP", "minP"]
+        bundle = westfall_young_all(g1, g2, test, cfg)
+        assert all(some[k] == bundle[k] for k in some)
+        with pytest.raises(ValueError, match="family statistic"):
+            westfall_young_all(g1, g2, test, cfg, kinds=("minP", "meanP"))
+
+    def test_exhaustive_limit_checked_on_coincident_groups(self):
+        # every point is degenerate, so nothing would be enumerated; the
+        # C(30, 15) assignments are refused all the same
+        g = np.tile(np.linspace(1.0, 2.0, 5), (15, 1))
+        with pytest.raises(ValueError, match="too many"):
+            westfall_young_all(g, g.copy(), PointwiseTest(kind="mean"),
+                               PermutationConfig(n_permutations=1, exhaustive=True))
+
     def test_null_rate_controlled(self):
         # quick null check; the heavyweight FWER study lives in acceptance
         hits = 0
@@ -267,3 +296,43 @@ def test_statistic_tally_matches_p_space(j1, j2, m, seed, shape, shift, exhausti
         for cut in cuts:
             expected = {k: int(np.count_nonzero(ref[k] <= cut[k])) for k in _REDUCE}
             assert _block_counts(xd, members, j1, j2, test, cut) == expected, (test, cut)
+
+
+def test_tiled_tally_matches_p_space():
+    """A block over several row tiles, the last one short, tallies as a whole."""
+    j1, j2, m = 7, 6, 1200
+    rng = np.random.default_rng(17)
+    xd = rng.standard_normal((j1 + j2, m))
+    xd[j1:] += 0.3
+    xd[:, rng.random(m) < 0.02] = 1.0  # constant columns: degenerate points
+    members = _batch_relabelings(17, 0, _DRAW_BLOCK, j1 + j2, j1)
+    step = _TILE // m
+    assert len(members) > 3 * step and len(members) % step, "want >= 3 tiles, one short"
+    identity = _members(np.arange(j1)[None], j1 + j2)
+    for test in TALLY_TESTS:
+        ref = _p_space_reductions(xd, members, j1, j2, test)
+        observed = {k: v[0] for k, v in
+                    _p_space_reductions(xd, identity, j1, j2, test).items()}
+        cuts = [observed, {k: v + 1e-12 + 1e-9 * v for k, v in observed.items()}]
+        # a row's own even-m median mostly makes it a medP tie row; take rows
+        # of the first, second, a middle and the short last tile
+        cuts += [{k: v[r] for k, v in ref.items()}
+                 for r in (step // 2, step + 1, len(members) // 2, len(members) - 2)]
+        for cut in cuts:
+            expected = {k: int(np.count_nonzero(ref[k] <= cut[k])) for k in _REDUCE}
+            assert _block_counts(xd, members, j1, j2, test, cut) == expected, (test, cut)
+            for k in _REDUCE:
+                assert (_block_counts(xd, members, j1, j2, test, {k: cut[k]})
+                        == {k: expected[k]}), (test, k, cut[k])
+
+
+def test_moments_snap_cancellation_residue():
+    """Coincident curves at a large offset: variances exactly 0, none negative."""
+    rng = np.random.default_rng(3)
+    xd = 1700.0 + 0.01 * rng.standard_normal((9, 40))
+    xd[:, :10] = 1700.0 + 0.01 * rng.standard_normal(10)  # curves coincide here
+    members = _batch_relabelings(2, 0, 300, 9, 4)
+    _, var1, _, var2 = _batch_moments(xd, members, 4, 5)
+    for var in (var1, var2):
+        assert np.all(var[:, :10] == 0.0)
+        assert not np.any(np.signbit(var))
