@@ -49,12 +49,11 @@ FAMILIES = {
 def family_args(name, perm, grid, pooled=False):
     """``(test, kind, cfg, domain)`` for ``westfall_young`` on ``name`` over ``grid``.
 
-    The families must not share relabeling streams, so the k-th entry of
-    ``FAMILIES`` draws from the seed XOR k.
+    ``cfg`` is ``perm`` itself: every family draws the same relabelings,
+    as the Bonferroni split holds whatever the dependence between them.
     """
     test, kind, _, domain = FAMILIES[name]
-    k = list(FAMILIES).index(name)
-    return replace(test, pooled=pooled), kind, replace(perm, seed=perm.seed ^ k), domain(grid)
+    return replace(test, pooled=pooled), kind, perm, domain(grid)
 
 
 @dataclass
@@ -212,10 +211,7 @@ def decide(prev, curr, cfg):
         res = westfall_young(prev, curr, *family_args(name, cfg.perm, cfg.grid, cfg.pooled))
         p_values.append(res.corrected_p)
         band = band_p_value(res.corrected_p, cfg.alpha)
-        # store 6-significant-digit values so save -> load is the identity
-        rounded = replace(res, observed_stat=_sig6(res.observed_stat),
-                          corrected_p=_sig6(res.corrected_p))
-        outcomes[name] = FamilyOutcome(result=rounded, verdict=_verdict(name, band))
+        outcomes[name] = FamilyOutcome(result=res, verdict=_verdict(name, band))
     overall = combine_families(*p_values, cfg.alpha)
     provenance = {
         "seed": cfg.perm.seed,

@@ -8,7 +8,6 @@ the observed family statistic within its permutation null distribution.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from math import comb
 
@@ -94,20 +93,20 @@ def _batch_relabelings(seed, block, count, j_total, j1):
 
 
 def _pooled_sums(xd):
-    """Squares and column sums of the pooled data, shared by a block's tiles."""
+    """Squares and column sums of the pooled data, shared by a call's tiles."""
     xx = xd * xd
     return xx, xd.sum(axis=0), xx.sum(axis=0)
 
 
-def _batch_moments(xd, members, j1, j2, means=True, sums=None):
+def _batch_moments(xd, sums, members, j1, j2, means=True):
     """Group means and variances for a batch of relabelings.
 
     ``xd`` is the pooled (j1+j2, md) data on the tested domain, ``sums``
-    its ``_pooled_sums`` if at hand, ``members`` a (n, j1+j2) boolean
-    matrix selecting group 1.  Returns the (n, md) arrays ``(mean1, var1,
-    mean2, var2)``; mean gaps are snapped only if ``means``, for the t test.
+    its ``_pooled_sums``, ``members`` a (n, j1+j2) boolean matrix
+    selecting group 1.  Returns the (n, md) arrays ``(mean1, var1, mean2,
+    var2)``; mean gaps are snapped only if ``means``, for the t test.
     """
-    xx, s_tot, q_tot = sums or _pooled_sums(xd)
+    xx, s_tot, q_tot = sums
     b = members.astype(float)
     s1 = b @ xd
     q1 = b @ xx
@@ -132,7 +131,7 @@ def _batch_moments(xd, members, j1, j2, means=True, sums=None):
     return mean1, var1, mean2, var2
 
 
-def _statistic(xd, members, j1, j2, test, sums=None):
+def _statistic(xd, sums, members, j1, j2, test):
     """The pointwise statistic, its degenerate mask, its bounds and its p.
 
     p falls as the statistic grows; ``bounds(c)`` returns ``(lo, hi)``
@@ -140,7 +139,7 @@ def _statistic(xd, members, j1, j2, test, sums=None):
     < lo, whatever each point's degrees of freedom.  ``pvalue(i)`` is the
     p at the entries ``i`` of the moment arrays of ``members``.
     """
-    mean1, var1, mean2, var2 = _batch_moments(xd, members, j1, j2, test.kind == "mean", sums)
+    mean1, var1, mean2, var2 = _batch_moments(xd, sums, members, j1, j2, test.kind == "mean")
     if test.kind == "mean":
         t, degenerate = mean_t(mean1, var1, j1, mean2, var2, j2,
                                test.direction, pooled=test.pooled)
@@ -154,8 +153,8 @@ def _statistic(xd, members, j1, j2, test, sums=None):
             lambda i: variance_f_p(var1[i], j1, var2[i], j2)[0])
 
 
-def _block_counts(xd, members, j1, j2, test, cut):
-    """Per kind in ``cut``, how many relabelings reduce to <= its cut.
+def _block_counts(xd, sums, blocks, j1, j2, test, cut):
+    """Per kind in ``cut``, how many relabelings of ``blocks`` reduce to <= its cut.
 
     Counted in statistic space: a point is settled by the bounds on its
     statistic, and p is evaluated only at the few points between the
@@ -164,17 +163,16 @@ def _block_counts(xd, members, j1, j2, test, cut):
     maxP and medP are <= cut exactly when at least 1, m or m // 2 + 1
     points are; for an even m, a row with exactly m / 2 such points
     reduces to the mean of the two middle p's, so its median is taken.
-    The counts equal those of reducing the full p matrix.  The rows are
-    worked through in tiles of at most ``_TILE`` entries.
+    The counts equal those of reducing the full p matrix.  Each block's
+    rows are worked through in tiles of at most ``_TILE`` entries.
     """
     m = xd.shape[1]
     need = {"minP": 1, "maxP": m, "medP": m // 2 + 1}
-    counts = Counter(dict.fromkeys(cut, 0))
-    limits, sums = None, _pooled_sums(xd)
+    counts = dict.fromkeys(cut, 0)
+    limits = None
     step = max(1, _TILE // m)
-    for start in range(0, len(members), step):
-        stat, degenerate, bounds, pvalue = _statistic(
-            xd, members[start:start + step], j1, j2, test, sums)
+    for tile in (b[i:i + step] for b in blocks for i in range(0, len(b), step)):
+        stat, degenerate, bounds, pvalue = _statistic(xd, sums, tile, j1, j2, test)
         limits = limits or {kind: bounds(c) for kind, c in cut.items()}
         for kind, c in cut.items():
             lo, hi = limits[kind]
@@ -230,7 +228,8 @@ def westfall_young_all(g1, g2, test, cfg, domain=None, kinds=FAMILY_KINDS):
         raise ValueError(f"{n_used} label assignments is too many to enumerate")
 
     identity = _members(np.arange(j1)[None], j_total)
-    _, deg, _, pvalue = _statistic(xd, identity, j1, j2, test)
+    sums = _pooled_sums(xd)
+    _, deg, _, pvalue = _statistic(xd, sums, identity, j1, j2, test)
     p_obs = pvalue(0)
     observed = {k: float(_REDUCE[k](p_obs)) for k in kinds}
 
@@ -252,7 +251,7 @@ def westfall_young_all(g1, g2, test, cfg, domain=None, kinds=FAMILY_KINDS):
         # ties count as <=; the tolerance absorbs ulp-level drift between the
         # batched and single-row BLAS paths
         cut = {k: v + 1e-12 + 1e-9 * v for k, v in observed.items()}
-        counts = sum((_block_counts(xd, b, j1, j2, test, cut) for b in blocks), Counter())
+        counts = _block_counts(xd, sums, blocks, j1, j2, test, cut)
 
     # sampled draws need not include the identity assignment
     floor = 0 if cfg.exhaustive else 1

@@ -25,6 +25,10 @@ class BearingAreaCurve:
         self.sorted_heights = h
 
 
+class EmptyTailError(ValueError):
+    """A grid has no point in one of its tails, so that tail cannot be tested."""
+
+
 @dataclass
 class QuantileGrid:
     """Shared evaluation grid on the quantile axis.
@@ -46,7 +50,7 @@ class QuantileGrid:
         if not (0 < self.tau < 0.5):
             raise ValueError("tau must lie in (0, 0.5)")
         if not (self.upper_tail_mask().any() and self.lower_tail_mask().any()):
-            raise ValueError("grid must reach into both tails")
+            raise EmptyTailError("grid must reach into both tails")
 
     @property
     def m(self):

@@ -275,6 +275,14 @@ class TestSimulate:
         assert captured.out == ""
         assert "error" in captured.err
 
+    def test_runs_missing_a_tail_are_skipped(self, tmp_path):
+        # with 12 points a run misses a tau = 0.25 tail with probability ~6%
+        out = tmp_path / "sim.json"
+        assert main(["simulate", "--runs", "50", "--input-points", "12",
+                     "--permutations", "50", "--n", "4", "--seed", "1",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["rows"][0]["runs"] < 50
+
     def test_invalid_later_row_fails_before_any_run(self, monkeypatch, capsys):
         calls = []
         monkeypatch.setattr(cli, "estimate_type2", calls.append)

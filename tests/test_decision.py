@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from bacdetect import decision
 from bacdetect.decision import (
     OVERALL_DETECTED,
     OVERALL_MARGINAL,
@@ -152,6 +153,30 @@ class TestDecide:
         assert record.families["upper_tail"].result.stat_kind == "maxP"
         assert record.families["lower_tail"].result.stat_kind == "maxP"
         assert record.families["variance"].result.stat_kind == "medP"
+
+    def test_families_share_one_relabeling_stream(self, monkeypatch, rng, grid, cfg):
+        seeds = []
+        original = decision.westfall_young
+
+        def record(g1, g2, test, kind, perm, domain=None):
+            seeds.append(perm.seed)
+            return original(g1, g2, test, kind, perm, domain)
+
+        monkeypatch.setattr(decision, "westfall_young", record)
+        decide(*_null_pair(rng, grid), cfg)
+        assert seeds == [cfg.perm.seed] * len(FAMILIES)
+
+    def test_p_exact_in_record_rounded_in_report(self, rng, grid):
+        # most counts k give a k / 300 with more than 6 significant digits
+        cfg = DecisionConfig(grid=grid, perm=PermutationConfig(n_permutations=300, seed=3))
+        record = decide(*_null_pair(rng, grid), cfg)
+        for name, outcome in record.families.items():
+            p = outcome.result.corrected_p
+            k = round(p * 300)
+            assert p == k / 300, name
+            assert outcome.to_dict()["corrected_p"] == float(f"{k / 300:.6g}"), name
+        assert any(o.result.corrected_p != o.to_dict()["corrected_p"]
+                   for o in record.families.values())
 
     def test_identical_stages_no_improvement(self, rng, grid, cfg):
         prev, curr = _null_pair(rng, grid)

@@ -20,6 +20,7 @@ from bacdetect.permutation import (
     _batch_relabelings,
     _block_counts,
     _members,
+    _pooled_sums,
     westfall_young,
     westfall_young_all,
 )
@@ -253,7 +254,7 @@ TALLY_TESTS += [PointwiseTest(kind="variance")]
 
 def _p_space_reductions(xd, members, j1, j2, test):
     """Reference: every reduction of the full (relabelings x points) p matrix."""
-    mean1, var1, mean2, var2 = _batch_moments(xd, members, j1, j2)
+    mean1, var1, mean2, var2 = _batch_moments(xd, _pooled_sums(xd), members, j1, j2)
     if test.kind == "mean":
         p, _ = welch_mean_p(mean1, var1, j1, mean2, var2, j2, test.direction,
                             pooled=test.pooled)
@@ -295,7 +296,8 @@ def test_statistic_tally_matches_p_space(j1, j2, m, seed, shape, shift, exhausti
         cuts += [{k: v[r] for k, v in ref.items()} for r in rows]
         for cut in cuts:
             expected = {k: int(np.count_nonzero(ref[k] <= cut[k])) for k in _REDUCE}
-            assert _block_counts(xd, members, j1, j2, test, cut) == expected, (test, cut)
+            assert (_block_counts(xd, _pooled_sums(xd), [members], j1, j2, test, cut)
+                    == expected), (test, cut)
 
 
 def test_tiled_tally_matches_p_space():
@@ -309,6 +311,7 @@ def test_tiled_tally_matches_p_space():
     step = _TILE // m
     assert len(members) > 3 * step and len(members) % step, "want >= 3 tiles, one short"
     identity = _members(np.arange(j1)[None], j1 + j2)
+    sums = _pooled_sums(xd)
     for test in TALLY_TESTS:
         ref = _p_space_reductions(xd, members, j1, j2, test)
         observed = {k: v[0] for k, v in
@@ -320,10 +323,35 @@ def test_tiled_tally_matches_p_space():
                  for r in (step // 2, step + 1, len(members) // 2, len(members) - 2)]
         for cut in cuts:
             expected = {k: int(np.count_nonzero(ref[k] <= cut[k])) for k in _REDUCE}
-            assert _block_counts(xd, members, j1, j2, test, cut) == expected, (test, cut)
+            assert (_block_counts(xd, sums, [members], j1, j2, test, cut)
+                    == expected), (test, cut)
             for k in _REDUCE:
-                assert (_block_counts(xd, members, j1, j2, test, {k: cut[k]})
+                assert (_block_counts(xd, sums, [members], j1, j2, test, {k: cut[k]})
                         == {k: expected[k]}), (test, k, cut[k])
+
+
+def test_blocks_of_unequal_length_tally_as_one():
+    """A full and a short block tally in one call as each block alone, summed."""
+    j1, j2, m = 6, 5, 40
+    rng = np.random.default_rng(23)
+    xd = rng.standard_normal((j1 + j2, m))
+    xd[j1:] += 0.4
+    xd[:, rng.random(m) < 0.1] = 1.0  # constant columns: degenerate points
+    sums = _pooled_sums(xd)
+    blocks = [_batch_relabelings(23, 0, _DRAW_BLOCK, j1 + j2, j1),
+              _batch_relabelings(23, 1, 37, j1 + j2, j1)]
+    identity = _members(np.arange(j1)[None], j1 + j2)
+    for test in TALLY_TESTS:
+        ref = _p_space_reductions(xd, np.vstack(blocks), j1, j2, test)
+        observed = {k: v[0] for k, v in
+                    _p_space_reductions(xd, identity, j1, j2, test).items()}
+        # the observed cut, a full-block row's own and a short-block row's own
+        for cut in (observed, {k: v[100] for k, v in ref.items()},
+                    {k: v[_DRAW_BLOCK + 20] for k, v in ref.items()}):
+            expected = {k: int(np.count_nonzero(ref[k] <= cut[k])) for k in _REDUCE}
+            alone = [_block_counts(xd, sums, [b], j1, j2, test, cut) for b in blocks]
+            assert {k: alone[0][k] + alone[1][k] for k in cut} == expected, (test, cut)
+            assert _block_counts(xd, sums, blocks, j1, j2, test, cut) == expected, (test, cut)
 
 
 def test_moments_snap_cancellation_residue():
@@ -332,7 +360,7 @@ def test_moments_snap_cancellation_residue():
     xd = 1700.0 + 0.01 * rng.standard_normal((9, 40))
     xd[:, :10] = 1700.0 + 0.01 * rng.standard_normal(10)  # curves coincide here
     members = _batch_relabelings(2, 0, 300, 9, 4)
-    _, var1, _, var2 = _batch_moments(xd, members, 4, 5)
+    _, var1, _, var2 = _batch_moments(xd, _pooled_sums(xd), members, 4, 5)
     for var in (var1, var2):
         assert np.all(var[:, :10] == 0.0)
         assert not np.any(np.signbit(var))

@@ -155,6 +155,8 @@ class TestSampleGpGroups:
             SimConfig(n_input_points=1)
         with pytest.raises(ValueError, match="seed"):
             SimConfig(seed=-5)
+        with pytest.raises(ValueError, match="seed"):
+            SimConfig(perm=PermutationConfig(seed=-1))
         # the ranges DecisionConfig and QuantileGrid enforce: a level
         # outside (0, 1), and tails that are empty or overlap
         for kw in (dict(alpha=0.0), dict(alpha=5.0), dict(tau=0.0), dict(tau=0.5),
@@ -215,9 +217,10 @@ class TestEstimateType2:
 
         monkeypatch.setattr(simulation, "westfall_young", record)
         estimate_type2(self._cfg(runs=8, perm=PermutationConfig(n_permutations=20, seed=3)))
-        # two tails per run, each with its own stream
+        # two tails per run share the run's stream; no two runs share one
         assert len(seeds) == 16
-        assert len(set(seeds)) == 16
+        assert seeds[0::2] == seeds[1::2]
+        assert len(set(seeds)) == 8
 
 
 def test_decide_and_tail_tests_make_the_same_family_calls(monkeypatch, rng):
