@@ -1,6 +1,6 @@
 """Surface-quality change detection from bearing area curves."""
 
-__version__ = "0.2.0"
+__version__ = "0.2.1"
 
 from .calibration import (
     CalibrationError,

@@ -16,9 +16,8 @@ import sys
 from pathlib import Path
 
 import numpy as np
-from scipy.special import stdtrit
 
-from . import __version__
+from . import __version__, statcore
 from .calibration import CalibrationError, calibrate_stage
 from .decision import (
     OVERALL_DETECTED,
@@ -177,11 +176,11 @@ def cmd_bac(args):
         raise ValueError("confidence must lie in (0, 1)")
     grid = default_grid(m=args.grid_size, s_max=args.s_max, tau=args.tau)
     rec = _load_calibrated(args.stage_dir, skip=args.no_calibrate)
-    sample = build_stage_sample(rec, grid)
-    mean = sample.mean_curve()
-    var = sample.variance_curve()
-    j = sample.n_locations
-    half = stdtrit(j - 1, 0.5 + args.confidence / 2.0) * np.sqrt(var / j)
+    curves = build_stage_sample(rec, grid).curves
+    mean = curves.mean(axis=0)
+    var = curves.var(axis=0, ddof=1)
+    j = curves.shape[0]
+    half = statcore.student_t_isf(0.5 - args.confidence / 2.0, j - 1) * np.sqrt(var / j)
     lines = ["s\tmean\tvariance\tband_lower\tband_upper"]
     for k in range(grid.m):
         lines.append(f"{grid.points[k]:.6g}\t{mean[k]:.6g}\t{var[k]:.6g}"
@@ -235,12 +234,13 @@ def cmd_simulate(args):
         res = estimate_type2(cfg)
         # the header goes out with the first row, so a failed run prints nothing
         if not rows:
-            print(f"{'N':>4}  {'avg_L2_pct':>10}  {'type2_upper':>11}  {'type2_lower':>11}")
+            print(f"{'N':>4}  {'avg_L2_pct':>10}  {'type2_upper':>11}  {'type2_lower':>11}"
+                  f"  {'runs':>6}")
         rows.append({"n_curves": n, "avg_l2_pct": res.avg_l2_pct,
                      "type2_upper": res.type2_upper,
                      "type2_lower": res.type2_lower, "runs": res.runs_used})
         print(f"{n:>4}  {res.avg_l2_pct:>10.2f}  {res.type2_upper:>11.3f}  "
-              f"{res.type2_lower:>11.3f}")
+              f"{res.type2_lower:>11.3f}  {res.runs_used:>6}")
     if args.out:
         payload = {"schema": "bacdetect-simulation-v1", "alpha": args.alpha,
                    "tau": args.tau, "permutations": args.permutations,

@@ -31,6 +31,8 @@ RECOMMEND_CONTINUE = "continue"
 RECOMMEND_CHANGE = "clean_or_change_tool"
 RECOMMEND_STOP = "stop_if_finest"
 
+REPORT_SCHEMA = "bacdetect-report-v1"
+
 # name -> (pointwise test, family statistic, verdicts if significant / not,
 # tested domain of a grid).  upper tail, s in [0, tau]: H1 mu_prev(s) >
 # mu_curr(s), the peaks are flattened; lower tail, s in [1 - tau, 1]: H1
@@ -112,7 +114,7 @@ class DecisionRecord:
 
     def to_dict(self):
         return {
-            "schema": "bacdetect-report-v1",
+            "schema": REPORT_SCHEMA,
             "stage_prev": self.stage_prev,
             "stage_curr": self.stage_curr,
             "families": {k: v.to_dict() for k, v in self.families.items()},
@@ -124,6 +126,7 @@ class DecisionRecord:
 
     @classmethod
     def from_dict(cls, d):
+        _field(d, "schema", repr(REPORT_SCHEMA))
         return cls(
             stage_prev=_field(d, "stage_prev", "a string"),
             stage_curr=_field(d, "stage_curr", "a string"),
@@ -136,12 +139,14 @@ class DecisionRecord:
         )
 
 
-# the JSON types a report's fields are read back as
+# the JSON types a report's fields are read back as, and the one schema
+# this version reads
 _JSON_TYPES = {
     "a number": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
     "an integer": lambda v: isinstance(v, int) and not isinstance(v, bool),
     "a string": lambda v: isinstance(v, str),
     "an object": lambda v: isinstance(v, dict),
+    repr(REPORT_SCHEMA): lambda v: v == REPORT_SCHEMA,
 }
 
 
@@ -208,7 +213,8 @@ def decide(prev, curr, cfg):
     outcomes = {}
     p_values = []
     for name in FAMILIES:
-        res = westfall_young(prev, curr, *family_args(name, cfg.perm, cfg.grid, cfg.pooled))
+        res = westfall_young(prev.curves, curr.curves,
+                             *family_args(name, cfg.perm, cfg.grid, cfg.pooled))
         p_values.append(res.corrected_p)
         band = band_p_value(res.corrected_p, cfg.alpha)
         outcomes[name] = FamilyOutcome(result=res, verdict=_verdict(name, band))

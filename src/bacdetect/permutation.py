@@ -10,6 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from math import comb
+from numbers import Integral
 
 import numpy as np
 
@@ -60,6 +61,11 @@ class PermutationConfig:
     def __post_init__(self):
         if self.n_permutations < 1:
             raise ValueError("need at least one permutation")
+        # a Philox key word is 64 bits; a wider or negative seed would be
+        # wrapped or cast onto another seed's stream
+        seed = self.seed
+        if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
+            raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
 
 
 @dataclass
@@ -71,12 +77,6 @@ class FamilyTestResult:
     degenerate_points: int = 0
 
 
-def _as_curves(g):
-    # accept either a StageSample-like object or a bare (J, m) array
-    curves = getattr(g, "curves", g)
-    return np.asarray(curves, dtype=float)
-
-
 def _members(picks, j_total):
     """Boolean membership rows; row i puts curves ``picks[i]`` in group 1."""
     members = np.zeros((len(picks), j_total), dtype=bool)
@@ -86,7 +86,7 @@ def _members(picks, j_total):
 
 def _batch_relabelings(seed, block, count, j_total, j1):
     """Membership matrix for the first ``count`` permutations of ``block``."""
-    rng = np.random.Generator(np.random.Philox(key=[seed & (2**64 - 1), block]))
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
     u = rng.random((count, j_total))
     order = np.argsort(u, axis=1, kind="stable")
     return _members(order[:, :j1], j_total)
@@ -196,7 +196,7 @@ def westfall_young_all(g1, g2, test, cfg, domain=None, kinds=FAMILY_KINDS):
 
     Parameters
     ----------
-    g1, g2 : StageSample or (J, m) array
+    g1, g2 : (J1, m) and (J2, m) arrays of curves, one row per location
     test : PointwiseTest
     cfg : PermutationConfig
     domain : bool array over the grid, optional
@@ -210,8 +210,8 @@ def westfall_young_all(g1, g2, test, cfg, domain=None, kinds=FAMILY_KINDS):
     """
     if not set(kinds) <= set(_REDUCE):
         raise ValueError(f"unknown family statistic in {kinds!r}")
-    x1 = _as_curves(g1)
-    x2 = _as_curves(g2)
+    x1 = np.asarray(g1, dtype=float)
+    x2 = np.asarray(g2, dtype=float)
     if x1.ndim != 2 or x2.ndim != 2 or x1.shape[1] != x2.shape[1]:
         raise ValueError("curve groups must share one evaluation grid")
     j1, j2 = x1.shape[0], x2.shape[0]

@@ -94,16 +94,6 @@ class StageSample:
             raise ValueError("curve length does not match the grid")
         self.curves = c
 
-    @property
-    def n_locations(self):
-        return self.curves.shape[0]
-
-    def mean_curve(self):
-        return self.curves.mean(axis=0)
-
-    def variance_curve(self):
-        return self.curves.var(axis=0, ddof=1)
-
 
 def compute_sa(matrix):
     """Arithmetic mean absolute deviation of pixel heights about their mean.

@@ -47,8 +47,8 @@ class SimConfig:
             raise ValueError("need at least two curves per group")
         if self.n_input_points < 2:
             raise ValueError("need at least two input points")
-        if self.seed < 0 or self.perm.seed < 0:
-            raise ValueError("seeds must be non-negative")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if not (0 < self.alpha < 1):
             raise ValueError("alpha must lie in (0, 1)")
         if not (0 < self.tau < 0.5):

@@ -37,13 +37,9 @@ def student_t_sf(t, df):
         raise ValueError("degrees of freedom must be finite and > 0")
     if np.any(np.isnan(t)):
         raise ValueError("non-finite test statistic")
-    # P(T >= t) = 0.5 * I_{df/(df+t^2)}(df/2, 1/2) for t >= 0, reflect for t < 0
-    x = df / (df + t * t)
-    tail = 0.5 * betainc(df / 2.0, 0.5, x)
-    out = np.where(t >= 0, tail, 1.0 - tail)
-    # +inf / -inf map to 0 / 1
-    out = np.where(np.isposinf(t), 0.0, out)
-    return np.where(np.isneginf(t), 1.0, out)
+    # T^2 is F(1, df): P(T >= t) = P(F >= t^2) / 2 for t >= 0, reflect for t < 0
+    tail = 0.5 * _f_tail(t * t, 1.0, df)
+    return np.where(t >= 0, tail, 1.0 - tail)
 
 
 def f_sf(f, df1, df2):
@@ -67,11 +63,16 @@ def f_sf(f, df1, df2):
         raise ValueError("degrees of freedom must be > 0")
     if np.any(np.isnan(f)) or np.any(f < 0):
         raise ValueError("statistic must be finite and >= 0")
-    # P(F >= f) = I_{df2/(df2 + df1 f)}(df2/2, df1/2), evaluated directly
-    # in the upper-tail form to keep small tail probabilities accurate.
-    x = df2 / (df2 + df1 * f)
-    out = betainc(df2 / 2.0, df1 / 2.0, x)
-    return np.where(np.isposinf(f), 0.0, out)
+    return np.asarray(_f_tail(f, df1, df2))
+
+
+def _f_tail(f, df1, df2):
+    """P(F >= f), unchecked; f = inf gives x = 0, where betainc is 0.
+
+    P(F >= f) = I_{df2/(df2 + df1 f)}(df2/2, df1/2), evaluated directly
+    in the upper-tail form to keep small tail probabilities accurate.
+    """
+    return betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f))
 
 
 def mean_t(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):

@@ -55,14 +55,6 @@ class HeightMatrix:
             raise SurfaceDataError("pixel pitch must be finite and positive")
         self.z = z
 
-    @property
-    def rows(self):
-        return self.z.shape[0]
-
-    @property
-    def cols(self):
-        return self.z.shape[1]
-
     def finite_mask(self):
         return np.isfinite(self.z)
 
@@ -71,7 +63,8 @@ class HeightMatrix:
 
     def axes(self):
         """Physical X (per column) and Y (per row) axes in micrometres."""
-        return np.arange(self.cols) * self.dx, np.arange(self.rows) * self.dy
+        rows, cols = self.z.shape
+        return np.arange(cols) * self.dx, np.arange(rows) * self.dy
 
     def coordinates(self):
         """Physical (X, Y) coordinate grids in micrometres."""

@@ -179,6 +179,14 @@ class TestDecide:
         tie_mass = 2**7 / 3432  # C(14, 7) relabelings, 2^7 perfect pairings
         assert payload["families"]["upper_tail"]["corrected_p"] >= tie_mass - 1e-6
 
+    def test_negative_seed_rejected_before_reading_a_stage(self, tmp_path, capsys):
+        code = main(["decide", str(tmp_path / "gone"), str(tmp_path / "gone2"),
+                     "--seed", "-1", "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_ERROR
+        err = capsys.readouterr().err
+        assert "seed must be an integer" in err and "gone" not in err
+        assert not (tmp_path / "r.json").exists()
+
     def test_missing_directory_errors(self, tmp_path):
         code = main(["decide", str(tmp_path / "gone"), str(tmp_path / "gone2"),
                      "--no-calibrate", "--out", str(tmp_path / "r.json")])
@@ -275,13 +283,15 @@ class TestSimulate:
         assert captured.out == ""
         assert "error" in captured.err
 
-    def test_runs_missing_a_tail_are_skipped(self, tmp_path):
+    def test_runs_missing_a_tail_are_skipped(self, tmp_path, capsys):
         # with 12 points a run misses a tau = 0.25 tail with probability ~6%
         out = tmp_path / "sim.json"
         assert main(["simulate", "--runs", "50", "--input-points", "12",
                      "--permutations", "50", "--n", "4", "--seed", "1",
                      "--out", str(out)]) == 0
         assert json.loads(out.read_text())["rows"][0]["runs"] < 50
+        header, row = capsys.readouterr().out.splitlines()
+        assert dict(zip(header.split(), row.split()))["runs"] == "48"
 
     def test_invalid_later_row_fails_before_any_run(self, monkeypatch, capsys):
         calls = []

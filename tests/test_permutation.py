@@ -1,5 +1,6 @@
 """Permutation engine: reductions, relabeling uniformity, corrected p-values."""
 
+import re
 from itertools import combinations
 from math import comb
 
@@ -107,6 +108,18 @@ class TestDrawRelabeling:
         assert p > 0.001
         sigma = np.sqrt(n * (1 / 70) * (69 / 70))
         assert max(abs(c - n / 70) for c in counts) <= 3.6 * sigma
+
+    def test_seed_outside_key_range_rejected(self):
+        for seed in (-1, 2**64, True, 1.0, "3"):
+            with pytest.raises(ValueError, match=re.escape(f"seed must be an integer in "
+                                                           f"[0, 2**64), not {seed!r}")):
+                PermutationConfig(seed=seed)
+        assert PermutationConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+    def test_seeds_above_2_63_draw_distinct_blocks(self):
+        a = _batch_relabelings(2**63, 0, _DRAW_BLOCK, 20, 10)
+        b = _batch_relabelings(2**63 + 1, 0, _DRAW_BLOCK, 20, 10)
+        assert not np.array_equal(a, b)
 
     def test_empty_group_rejected(self, rng):
         g2 = rng.standard_normal((4, 10))

@@ -136,9 +136,6 @@ class TestStageSample:
         rec = rough_stage(rng, "s1", n_loc=9)
         sample = build_stage_sample(rec, default_grid(m=100))
         assert sample.curves.shape == (9, 100)
-        assert sample.n_locations == 9
-        assert sample.mean_curve().shape == (100,)
-        assert sample.variance_curve().shape == (100,)
 
     def test_equal_grids_comparable(self, rng):
         grid = default_grid(m=50)

@@ -70,6 +70,19 @@ class TestStudentTSF:
         with pytest.raises(ValueError):
             student_t_sf(1.0, 0)
 
+    def test_is_reflected_half_of_f_tail(self):
+        # T^2 is F(1, df): bit for bit, including the infinite and signed zero t
+        rng = np.random.default_rng(3)
+        t = rng.standard_normal(10_000) * np.exp(rng.uniform(-5, 5, 10_000))
+        t[:4] = [np.inf, -np.inf, 0.0, -0.0]
+        df = np.exp(rng.uniform(-3, 8, t.size))
+        half = 0.5 * f_sf(t * t, 1, df)
+        assert np.array_equal(student_t_sf(t, df), np.where(t >= 0, half, 1.0 - half))
+
+    def test_scalar_arguments_give_0d_arrays(self):
+        for out in (student_t_sf(1.0, 3), f_sf(1.0, 2, 3)):
+            assert isinstance(out, np.ndarray) and out.shape == ()
+
 
 class TestFSF:
     def test_unit_statistic_equal_df_is_half(self):

@@ -334,6 +334,7 @@ class TestReportPersistence:
         ("overall", None),
         ("recommendation", 0),
         ("provenance", [1, 2]),
+        ("schema", "something-else-v9"),
     ])
     def test_field_of_wrong_type(self, tmp_path, rng, field, value):
         path = tmp_path / "report.json"
