@@ -14,14 +14,7 @@ from numbers import Integral
 
 import numpy as np
 
-from .statcore import (
-    f_bounds,
-    mean_t,
-    t_bounds,
-    variance_f,
-    variance_f_p,
-    welch_mean_p,
-)
+from .statcore import mean_test, variance_test
 
 _REDUCE = {"minP": np.min, "maxP": np.max, "medP": np.median}
 FAMILY_KINDS = tuple(_REDUCE)
@@ -59,13 +52,16 @@ class PermutationConfig:
     exhaustive: bool = False
 
     def __post_init__(self):
-        if self.n_permutations < 1:
-            raise ValueError("need at least one permutation")
+        n = self.n_permutations
+        if isinstance(n, bool) or not isinstance(n, Integral) or n < 1:
+            raise ValueError(f"n_permutations must be an integer >= 1, not {n!r}")
         # a Philox key word is 64 bits; a wider or negative seed would be
         # wrapped or cast onto another seed's stream
         seed = self.seed
         if isinstance(seed, bool) or not isinstance(seed, Integral) or not 0 <= seed < 2**64:
             raise ValueError(f"seed must be an integer in [0, 2**64), not {seed!r}")
+        # plain ints, so a report of numpy-integer settings serializes
+        self.n_permutations, self.seed = int(n), int(seed)
 
 
 @dataclass
@@ -134,23 +130,16 @@ def _batch_moments(xd, sums, members, j1, j2, means=True):
 def _statistic(xd, sums, members, j1, j2, test):
     """The pointwise statistic, its degenerate mask, its bounds and its p.
 
-    p falls as the statistic grows; ``bounds(c)`` returns ``(lo, hi)``
-    with p <= c wherever the statistic is > hi and p > c wherever it is
-    < lo, whatever each point's degrees of freedom.  ``pvalue(i)`` is the
-    p at the entries ``i`` of the moment arrays of ``members``.
+    ``statcore.mean_test`` / ``variance_test`` on the moments of
+    ``members``: p falls as the statistic grows; ``bounds(c)`` returns
+    ``(lo, hi)`` with p <= c wherever the statistic is > hi and p > c
+    wherever it is < lo, whatever each point's degrees of freedom.
+    ``pvalue(i)`` is the p at the entries ``i`` of the statistic.
     """
     mean1, var1, mean2, var2 = _batch_moments(xd, sums, members, j1, j2, test.kind == "mean")
     if test.kind == "mean":
-        t, degenerate = mean_t(mean1, var1, j1, mean2, var2, j2,
-                               test.direction, pooled=test.pooled)
-        # Welch's df lies between the smaller group's and the pooled df
-        df_min = j1 + j2 - 2 if test.pooled else min(j1, j2) - 1
-        return (t, degenerate, lambda c: t_bounds(c, df_min, j1 + j2 - 2),
-                lambda i: welch_mean_p(mean1[i], var1[i], j1, mean2[i], var2[i], j2,
-                                       test.direction, pooled=test.pooled)[0])
-    f, degenerate = variance_f(var1, var2)
-    return (f, degenerate, lambda c: f_bounds(c, j1 - 1, j2 - 1),
-            lambda i: variance_f_p(var1[i], j1, var2[i], j2)[0])
+        return mean_test(mean1, var1, j1, mean2, var2, j2, test.direction, test.pooled)
+    return variance_test(var1, j1, var2, j2)
 
 
 def _block_counts(xd, sums, blocks, j1, j2, test, cut):

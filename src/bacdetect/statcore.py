@@ -3,12 +3,12 @@
 At every grid point of the quantile domain a one-sided two-sample test
 is run, a t-test for the mean curves (Welch by default) or an F-test for
 the variance curves.  Both p-values reduce to the regularized incomplete
-beta function.  The permutation engine needs p only for the observed
-labelling; for relabelings it screens the statistic itself against the
-bounds of ``t_bounds`` / ``f_bounds`` and evaluates p only at the points
-those bounds leave unsettled.  So ``mean_t`` returns t and the degenerate
-mask only; Welch's df, which the screen never reads, is formed by
-``welch_mean_p`` for the points whose p it computes.
+beta function.  ``mean_test`` and ``variance_test`` each own their test
+whole: the statistic, its degenerate points, its degrees of freedom, the
+statistic bounds that settle p <= c, and p itself.  The permutation
+engine screens each relabeling's statistic against those bounds and reads
+p off the statistic it already holds, only at the points the bounds leave
+unsettled; Welch's df is formed only there.
 """
 
 from __future__ import annotations
@@ -37,8 +37,11 @@ def student_t_sf(t, df):
         raise ValueError("degrees of freedom must be finite and > 0")
     if np.any(np.isnan(t)):
         raise ValueError("non-finite test statistic")
-    # T^2 is F(1, df): P(T >= t) = P(F >= t^2) / 2 for t >= 0, reflect for t < 0
-    tail = 0.5 * _f_tail(t * t, 1.0, df)
+    # T^2 is F(1, df): P(T >= t) = P(F >= t^2) / 2 for t >= 0, reflect for t < 0;
+    # t^2 overflows to inf past |t| = 1.3e154, where the tail is 0 all the same
+    with np.errstate(over="ignore"):
+        t2 = t * t
+    tail = 0.5 * _f_tail(t2, 1.0, df)
     return np.where(t >= 0, tail, 1.0 - tail)
 
 
@@ -75,15 +78,18 @@ def _f_tail(f, df1, df2):
     return betainc(df2 / 2.0, df1 / 2.0, df2 / (df2 + df1 * f))
 
 
-def mean_t(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
-    """One-sided two-sample t statistics from group summaries.
+def mean_test(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
+    """One-sided two-sample t-test from group summaries.
 
     All summary arguments broadcast, so a whole batch of permuted
-    relabelings can be evaluated in one call.  Returns the arrays
-    ``(t, degenerate)``, with t oriented so that large values favour
-    ``direction``.  Where both groups have zero variance the point is
-    flagged degenerate and t is +inf, -inf or 0 as the mean difference
-    agrees with ``direction``, disagrees or vanishes.
+    relabelings is tested in one call.  Returns ``(t, degenerate, bounds,
+    pvalue)``: t oriented so that large values favour ``direction``, the
+    degenerate mask, ``bounds(c)`` (see ``_bounds``) and ``pvalue(i)``, the
+    p at the entries ``i`` of t.  Where both groups have zero variance the
+    point is degenerate and t is +inf, -inf or 0 as the mean difference
+    agrees with ``direction``, disagrees or vanishes, so p is 0, 1 or 0.5
+    (no evidence either way).  The df is j1 + j2 - 2 if pooled, otherwise
+    Welch's.
     """
     if direction not in ("greater", "less"):
         raise ValueError("direction must be 'greater' or 'less'")
@@ -103,58 +109,57 @@ def mean_t(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
     with np.errstate(divide="ignore", invalid="ignore"):
         t = np.divide(diff, np.sqrt(se2, out=se2), out=se2)
     np.copyto(t, 0.0, where=degenerate & (diff == 0.0))
-    return t, degenerate
+
+    def pvalue(i):
+        # betainc is exactly 0 at x = 0 and 1 at x = 1, so the infinite or
+        # zero t of a degenerate point gives p = 0, 1 or 0.5 at any df; there
+        # Welch's df is 0 / 0, and df 1 stands in
+        if pooled:
+            return student_t_sf(t[i], j1 + j2 - 2)
+        a = var1[i] / j1
+        b = var2[i] / j2
+        with np.errstate(divide="ignore", invalid="ignore"):
+            df = (a + b) * (a + b) / (a * a / (j1 - 1) + b * b / (j2 - 1))
+        return student_t_sf(t[i], np.where(degenerate[i], 1.0, df))
+
+    def bounds(c):
+        # Welch's df lies between the smaller group's and the pooled df.  At
+        # a fixed t, P(T >= t) falls as df grows when t > 0 and rises when
+        # t < 0, so the outer of the bounds at the two ends of the range
+        # hold in between.
+        dfs = np.array([j1 + j2 - 2 if pooled else min(j1, j2) - 1, j1 + j2 - 2], dtype=float)
+        # x = df / (df + t^2) rounds to 1 once |t| < 1e-8 sqrt(df), where the
+        # computed p sits flat at 0.5
+        return _bounds(c, lambda q: student_t_isf(q, dfs), np.sqrt(j1 + j2 - 2))
+
+    return t, degenerate, bounds, pvalue
 
 
-def _mean_df(var1, j1, var2, j2, pooled):
-    """The df of ``mean_t``'s t: j1 + j2 - 2 if pooled, otherwise Welch's."""
-    if pooled:
-        return float(j1 + j2 - 2)
-    a = np.asarray(var1, dtype=float) / j1
-    b = np.asarray(var2, dtype=float) / j2
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (a + b) * (a + b) / (a * a / (j1 - 1) + b * b / (j2 - 1))
+def variance_test(var1, j1, var2, j2):
+    """One-sided F-test (H1: var1 > var2) from group summaries.
 
-
-def welch_mean_p(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
-    """One-sided two-sample t-test p-values from group summaries.
-
-    Arguments as for ``mean_t``.  Returns the arrays ``(p, degenerate)``.
-    At a degenerate point (zero variance in both groups) p follows the
-    sign of the mean difference: 0.5 for equal means (no evidence either
-    way), otherwise 0 or 1 as the difference agrees with ``direction`` or
-    not; the infinite or zero t of ``mean_t`` gives exactly that, with df 1.
-    """
-    t, degenerate = mean_t(mean1, var1, j1, mean2, var2, j2, direction, pooled)
-    df = np.where(degenerate, 1.0, _mean_df(var1, j1, var2, j2, pooled))
-    return student_t_sf(t, df), degenerate
-
-
-def variance_f(var1, var2):
-    """F statistics var1 / var2, and the points where var2 is zero.
-
-    Returns the arrays ``(f, degenerate)``; f is 1 at degenerate points.
+    Returns ``(f, degenerate, bounds, pvalue)`` as ``mean_test`` does, with
+    f = var1 / var2 on (j1 - 1, j2 - 1) df.  Where group 2 has zero
+    variance the point is degenerate: f is +inf and p is 0 where group 1
+    varies there, and f is NaN and p is 0.5 where neither does.
     """
     var1 = np.asarray(var1, dtype=float)
     var2 = np.asarray(var2, dtype=float)
     degenerate = var2 <= 0.0
     with np.errstate(divide="ignore", invalid="ignore"):
         f = np.asarray(var1 / var2)
-    np.copyto(f, 1.0, where=degenerate)
-    return f, degenerate
 
+    def pvalue(i):
+        fi = f[i]
+        tie = np.isnan(fi)
+        return np.where(tie, 0.5, f_sf(np.where(tie, 1.0, fi), j1 - 1, j2 - 1))
 
-def variance_f_p(var1, j1, var2, j2):
-    """One-sided F-test p-values (H1: var1 > var2) from group summaries.
+    def bounds(c):
+        # x = df2 / (df2 + df1 f) carries 3e-16 of rounding, which is
+        # 3e-16 df2 / df1 in f as f goes to 0
+        return _bounds(c, lambda q: f_isf(q, j1 - 1, j2 - 1), 1e-6 * (j2 - 1) / (j1 - 1))
 
-    Returns the arrays ``(p, degenerate)``.  Where group 2 has zero
-    variance the point is flagged degenerate: p is 0 if group 1 varies
-    there and 0.5 if neither does.
-    """
-    f, degenerate = variance_f(var1, var2)
-    p = f_sf(f, j1 - 1, j2 - 1)
-    p = np.where(degenerate, np.where(np.asarray(var1) > 0, 0.0, 0.5), p)
-    return p, degenerate
+    return f, degenerate, bounds, pvalue
 
 
 def f_isf(q, df1, df2):
@@ -183,7 +188,7 @@ def _bounds(c, isf, scale):
     1e-15 in p; the inverse is not trusted below q = 1e-15.  In the
     statistic, 1e-6 relative is far above the error of betainc and of the
     inverse, and ``scale`` covers where the statistic enters betainc
-    through an x that rounds to 1 (see ``t_bounds`` / ``f_bounds``).
+    through an x that rounds to 1 (see ``mean_test`` / ``variance_test``).
     """
     q_hi = min(c - 1e-15, 1.0) if c >= 2e-15 else 0.0
     q_lo = min(max(c + 1e-15, 0.0), 1.0)
@@ -194,24 +199,3 @@ def _bounds(c, isf, scale):
     if np.isfinite(lo):
         lo -= 1e-6 * (abs(lo) + scale)
     return lo, hi
-
-
-def t_bounds(c, df_min, df_max):
-    """Bounds ``(lo, hi)`` on t that settle p <= c for every df in range.
-
-    For every df in [df_min, df_max], ``student_t_sf(t, df)`` is <= c
-    where t > hi and > c where t < lo.  At a fixed t, P(T >= t) falls as
-    df grows when t > 0 and rises when t < 0, so the outer of the bounds
-    at the two ends of the range hold in between.
-    """
-    dfs = np.array([df_min, df_max], dtype=float)
-    # x = df / (df + t^2) rounds to 1 once |t| < 1e-8 sqrt(df), where the
-    # computed p sits flat at 0.5
-    return _bounds(c, lambda q: student_t_isf(q, dfs), np.sqrt(df_max))
-
-
-def f_bounds(c, df1, df2):
-    """Bounds ``(lo, hi)`` on f: ``f_sf(f, df1, df2)`` <= c above hi, > c below lo."""
-    # x = df2 / (df2 + df1 f) carries 3e-16 of rounding, which is
-    # 3e-16 df2 / df1 in f as f goes to 0
-    return _bounds(c, lambda q: f_isf(q, df1, df2), 1e-6 * df2 / df1)

@@ -214,10 +214,10 @@ def load_stage(path):
 def save_report(record, path):
     """Persist a DecisionRecord as bit-stable JSON."""
     path = Path(path)
+    # serialized before the file is opened, so a failure leaves no partial report
+    text = json.dumps(record.to_dict(), indent=2, sort_keys=True) + "\n"
     try:
-        with open(path, "w") as fh:
-            json.dump(record.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        path.write_text(text)
     except OSError as exc:
         raise SurfaceDataError(f"cannot write report to {path}: {exc}") from exc
 

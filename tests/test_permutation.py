@@ -25,7 +25,7 @@ from bacdetect.permutation import (
     westfall_young,
     westfall_young_all,
 )
-from bacdetect.statcore import variance_f_p, welch_mean_p
+from bacdetect.statcore import mean_test, variance_test
 
 
 class TestFamilyStat:
@@ -36,8 +36,8 @@ class TestFamilyStat:
         domain = np.arange(30) % 3 == 0  # 10 points, so medP averages two
         cfg = PermutationConfig(n_permutations=20, seed=1)
         var1, var2 = g1.var(axis=0, ddof=1), g2.var(axis=0, ddof=1)
-        p_mean, _ = welch_mean_p(g1.mean(axis=0), var1, 5, g2.mean(axis=0), var2, 6, "less")
-        p_var, _ = variance_f_p(var1, 5, var2, 6)
+        p_mean = mean_test(g1.mean(axis=0), var1, 5, g2.mean(axis=0), var2, 6, "less")[3](...)
+        p_var = variance_test(var1, 5, var2, 6)[3](...)
         for test, p in ((PointwiseTest(kind="mean", direction="less"), p_mean),
                         (PointwiseTest(kind="variance"), p_var)):
             res = westfall_young_all(g1, g2, test, cfg, domain)
@@ -46,8 +46,8 @@ class TestFamilyStat:
 
     def test_even_count_median(self, rng):
         g1, g2 = _toy_groups(rng, m=2)
-        p, _ = welch_mean_p(g1.mean(axis=0), g1.var(axis=0, ddof=1), 4,
-                            g2.mean(axis=0), g2.var(axis=0, ddof=1), 4, "greater")
+        p = mean_test(g1.mean(axis=0), g1.var(axis=0, ddof=1), 4,
+                      g2.mean(axis=0), g2.var(axis=0, ddof=1), 4, "greater")[3](...)
         res = westfall_young(g1, g2, PointwiseTest(kind="mean"), "medP",
                              PermutationConfig(n_permutations=20))
         assert res.observed_stat == pytest.approx((p[0] + p[1]) / 2, rel=1e-9)
@@ -115,6 +115,17 @@ class TestDrawRelabeling:
                                                            f"[0, 2**64), not {seed!r}")):
                 PermutationConfig(seed=seed)
         assert PermutationConfig(seed=2**64 - 1).seed == 2**64 - 1
+
+    def test_permutation_count_must_be_integer(self):
+        for n in (0, 2.5, True, "50"):
+            with pytest.raises(ValueError, match=re.escape(f"n_permutations must be an "
+                                                           f"integer >= 1, not {n!r}")):
+                PermutationConfig(n_permutations=n)
+
+    def test_numpy_integers_stored_plain(self):
+        cfg = PermutationConfig(n_permutations=np.int64(50), seed=np.uint64(5))
+        assert type(cfg.n_permutations) is int and type(cfg.seed) is int
+        assert (cfg.n_permutations, cfg.seed) == (50, 5)
 
     def test_seeds_above_2_63_draw_distinct_blocks(self):
         a = _batch_relabelings(2**63, 0, _DRAW_BLOCK, 20, 10)
@@ -269,10 +280,10 @@ def _p_space_reductions(xd, members, j1, j2, test):
     """Reference: every reduction of the full (relabelings x points) p matrix."""
     mean1, var1, mean2, var2 = _batch_moments(xd, _pooled_sums(xd), members, j1, j2)
     if test.kind == "mean":
-        p, _ = welch_mean_p(mean1, var1, j1, mean2, var2, j2, test.direction,
-                            pooled=test.pooled)
+        p = mean_test(mean1, var1, j1, mean2, var2, j2, test.direction,
+                      pooled=test.pooled)[3](...)
     else:
-        p, _ = variance_f_p(var1, j1, var2, j2)
+        p = variance_test(var1, j1, var2, j2)[3](...)
     return {k: f(p, axis=1) for k, f in _REDUCE.items()}
 
 

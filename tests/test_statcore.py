@@ -6,7 +6,7 @@ from scipy.integrate import quad
 from scipy.special import gammaln
 
 from bacdetect.permutation import PermutationConfig, PointwiseTest, westfall_young_all
-from bacdetect.statcore import f_sf, student_t_sf, variance_f_p, welch_mean_p
+from bacdetect.statcore import f_sf, mean_test, student_t_sf, variance_test
 
 
 def t_sf_oracle(t, df):
@@ -49,6 +49,8 @@ class TestStudentTSF:
         assert student_t_sf(np.inf, 5) == 0.0
         assert student_t_sf(-np.inf, 5) == 1.0
         assert student_t_sf(1e8, 5) < 1e-12
+        # t^2 overflows here, silently: the tail is 0 or 1 all the same
+        assert np.array_equal(student_t_sf([1e300, -1e300, 1e154, 2e154], 5), [0, 1, 0, 0])
 
     def test_spot_value(self):
         assert abs(student_t_sf(2.0, 10) - 0.036694) < 1e-5
@@ -110,24 +112,36 @@ class TestFSF:
             f_sf(-1.0, 3, 5)
 
 
+def _mean_test_p(*args, **kwargs):
+    """``(p, degenerate)`` of ``mean_test`` at every entry."""
+    _, degenerate, _, pvalue = mean_test(*args, **kwargs)
+    return pvalue(...), degenerate
+
+
 class TestWelchMeanP:
     def test_degenerate_equal_means(self):
-        p, deg = welch_mean_p(1.0, 0.0, 5, 1.0, 0.0, 5, "greater")
+        p, deg = _mean_test_p(1.0, 0.0, 5, 1.0, 0.0, 5, "greater")
         assert p == 0.5 and deg
 
     def test_degenerate_signed(self):
-        p_up, _ = welch_mean_p(2.0, 0.0, 5, 1.0, 0.0, 5, "greater")
-        p_down, _ = welch_mean_p(2.0, 0.0, 5, 1.0, 0.0, 5, "less")
+        p_up, _ = _mean_test_p(2.0, 0.0, 5, 1.0, 0.0, 5, "greater")
+        p_down, _ = _mean_test_p(2.0, 0.0, 5, 1.0, 0.0, 5, "less")
         assert p_up == 0.0 and p_down == 1.0
 
+    def test_degenerate_pooled(self):
+        # the pooled df stands in for Welch's df 1: betainc is exact at x = 0, 1
+        p, deg = _mean_test_p([2.0, 1.0, 1.0], 0.0, 5, [1.0, 2.0, 1.0], 0.0, 7,
+                              "greater", pooled=True)
+        assert np.array_equal(p, [0.0, 1.0, 0.5]) and np.all(deg)
+
     def test_pooled_uses_fixed_df(self):
-        p_w, _ = welch_mean_p(1.0, 2.0, 6, 0.0, 0.1, 6, "greater", pooled=False)
-        p_p, _ = welch_mean_p(1.0, 2.0, 6, 0.0, 0.1, 6, "greater", pooled=True)
+        p_w, _ = _mean_test_p(1.0, 2.0, 6, 0.0, 0.1, 6, "greater", pooled=False)
+        p_p, _ = _mean_test_p(1.0, 2.0, 6, 0.0, 0.1, 6, "greater", pooled=True)
         assert p_w != p_p
 
     def test_bad_direction(self):
         with pytest.raises(ValueError):
-            welch_mean_p(0.0, 1.0, 5, 0.0, 1.0, 5, "sideways")
+            mean_test(0.0, 1.0, 5, 0.0, 1.0, 5, "sideways")
 
 
 def _moments(g):
@@ -135,15 +149,15 @@ def _moments(g):
 
 
 def _mean_p(g1, g2, direction):
-    """welch_mean_p on numpy moments of two (J, m) curve groups."""
-    return welch_mean_p(*_moments(g1), *_moments(g2), direction)[0]
+    """mean_test's p on numpy moments of two (J, m) curve groups."""
+    return mean_test(*_moments(g1), *_moments(g2), direction)[3](...)
 
 
 def _variance_p(g1, g2):
-    """variance_f_p on numpy moments of two (J, m) curve groups."""
+    """variance_test's p on numpy moments of two (J, m) curve groups."""
     _, var1, j1 = _moments(g1)
     _, var2, j2 = _moments(g2)
-    return variance_f_p(var1, j1, var2, j2)[0]
+    return variance_test(var1, j1, var2, j2)[3](...)
 
 
 class TestPointwiseMeanTest:
@@ -200,5 +214,11 @@ class TestPointwiseVarianceTest:
     def test_degenerate_zero_variance(self):
         g1 = np.zeros((4, 5))
         g2 = np.zeros((4, 5))
-        p, deg = variance_f_p(g1.var(axis=0, ddof=1), 4, g2.var(axis=0, ddof=1), 4)
+        _, deg, _, pvalue = variance_test(g1.var(axis=0, ddof=1), 4, g2.var(axis=0, ddof=1), 4)
+        p = pvalue(...)
         assert np.all(p == 0.5) and np.all(deg)
+
+    def test_degenerate_only_group_2_constant(self):
+        # f = var1 / 0 is +inf, where betainc gives p = 0 exactly
+        _, deg, _, pvalue = variance_test([2.0, 0.0], 4, [0.0, 0.0], 6)
+        assert np.array_equal(pvalue(...), [0.0, 0.5]) and np.all(deg)

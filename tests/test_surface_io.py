@@ -1,6 +1,7 @@
 """Stage ingestion, cleaning policy, and report persistence."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -300,6 +301,29 @@ class TestReportPersistence:
         assert payload["provenance"]["seed"] == 42
         assert payload["provenance"]["n_permutations"] == 200
         assert payload["schema"] == "bacdetect-report-v1"
+
+    def test_numpy_integer_settings(self, tmp_path):
+        # numpy integers are stored as plain ints: the report is the same
+        paths = []
+        for n, seed in ((200, 42), (np.int64(200), np.int64(42))):
+            rng = np.random.default_rng(12345)
+            grid = default_grid(m=60)
+            prev = build_stage_sample(rough_stage(rng, "stage1", scale=1.0), grid)
+            curr = build_stage_sample(rough_stage(rng, "stage2", scale=0.3), grid)
+            cfg = DecisionConfig(grid=grid, perm=PermutationConfig(n_permutations=n, seed=seed))
+            paths.append(tmp_path / f"report{len(paths)}.json")
+            save_report(decide(prev, curr, cfg), paths[-1])
+        assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_unserializable_record_leaves_file_unchanged(self, tmp_path, rng):
+        record = _small_record(rng)
+        path = tmp_path / "report.json"
+        save_report(record, path)
+        before = path.read_bytes()
+        bad = replace(record, provenance={**record.provenance, "seed": object()})
+        with pytest.raises(TypeError):
+            save_report(bad, path)
+        assert path.read_bytes() == before
 
     def test_write_failure(self, tmp_path, rng):
         record = _small_record(rng)

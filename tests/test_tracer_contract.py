@@ -11,6 +11,8 @@ import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from bacdetect.decision import FAMILIES
 
 SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
@@ -41,3 +43,25 @@ def test_tracer_names_each_family():
     assert set(FAMILIES) == set(spans.FAMILIES)
     for name, (test, *_) in FAMILIES.items():
         assert spans._family(test) == name
+
+
+def test_tails_looked_up_at_call_time(monkeypatch):
+    # the tracer's statcore.*_ns_per_elem metrics see every p only if the
+    # tests call the tails through statcore's module globals
+    from bacdetect import statcore
+    from bacdetect.permutation import PermutationConfig, PointwiseTest, westfall_young
+
+    calls = {}
+    for name in ("student_t_sf", "f_sf"):
+        def counted(*args, _fn=getattr(statcore, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(statcore, name, counted)
+    rng = np.random.default_rng(5)
+    g1, g2 = rng.standard_normal((5, 20)), rng.standard_normal((6, 20))
+    cfg = PermutationConfig(n_permutations=50, seed=1)
+    for test, tail in ((PointwiseTest(kind="mean"), "student_t_sf"),
+                       (PointwiseTest(kind="variance"), "f_sf")):
+        calls.update({"student_t_sf": 0, "f_sf": 0})
+        westfall_young(g1, g2, test, "medP", cfg)
+        assert calls[tail] >= 1 and sum(calls.values()) == calls[tail], (test, calls)
