@@ -97,7 +97,9 @@ def subtract_baseline(matrix, fit):
     Each pixel takes the root of a qz^2 + bz qz + g = 0 nearest the scan,
     qz = -2g / (bz + sign(bz) sqrt(bz^2 - 4ag)): it lies on the scan's
     side of a sphere whichever way up the scan was taken, and it has no
-    cancellation as a -> 0, where it becomes the plane -g / bz.
+    cancellation as a -> 0, where it becomes the plane -g / bz.  A
+    surface vertical over a pixel (a one-row scan is fitted by the plane
+    through its row, with bz = 0) gives it no height and raises.
     """
     x, y = matrix.axes()
     ox, oy, oz = fit.origin
@@ -106,11 +108,18 @@ def subtract_baseline(matrix, fit):
     qy = (y - oy) / fit.scale
     g = ((a * qy + by) * qy + e)[:, None] + (a * qx + bx) * qx
     radicand = bz * bz - 4.0 * a * g
-    if radicand.min() < 0:
+    low = radicand.min()
+    if low < 0:
         w, v = np.argwhere(radicand < 0)[0]
         raise CalibrationError(
             f"pixel (row {w}, col {v}) lies outside the fitted sphere cap "
             f"(radicand {radicand[w, v]:.6g})")
+    # the denominator below is 0 exactly where bz and the radicand are
+    if bz == 0 and low == 0:
+        w, v = np.argwhere(radicand == 0)[0]
+        raise CalibrationError(
+            f"the fitted surface has no height over pixel (row {w}, col {v}): "
+            "it is vertical there")
     qz = -2.0 * g / (bz + np.copysign(np.sqrt(radicand), bz))
     return replace(matrix, z=matrix.z - (oz + fit.scale * qz))
 
@@ -119,10 +128,15 @@ def calibrate_stage(record):
     """Per-location form removal for a whole stage.
 
     Each scan covers an independent patch, so the form is fitted per
-    location rather than once per stage.
+    location rather than once per stage.  A location that cannot be
+    calibrated raises ``CalibrationError`` prefixed with its id.
     """
     if not record.locations:
         raise CalibrationError("empty stage")
-    calibrated = [subtract_baseline(m, fit_sphere(m.point_cloud()))
-                  for m in record.locations]
+    calibrated = []
+    for m in record.locations:
+        try:
+            calibrated.append(subtract_baseline(m, fit_sphere(m.point_cloud())))
+        except CalibrationError as exc:
+            raise CalibrationError(f"{m.location_id}: {exc}") from exc
     return StageRecord(stage_id=record.stage_id, locations=calibrated)

@@ -22,9 +22,11 @@ FAMILY_KINDS = tuple(_REDUCE)
 # relabelings are drawn in fixed-size blocks; block k is keyed by
 # (seed, k) so a run is reproducible regardless of execution order
 _DRAW_BLOCK = 512
-# blocks are worked in row tiles of at most this many entries: a tile's
+# blocks are worked in tiles of at most this many entries: a tile's
 # float arrays (125 KiB) stay in L2 and under malloc's mmap threshold
 _TILE = 16_000
+# the first column chunk of a block is this wide, and each next one twice as wide
+_CHUNK = 16
 
 # refuse exhaustive enumeration beyond this many label assignments
 _MAX_EXHAUSTIVE = 500_000
@@ -83,9 +85,21 @@ def _members(picks, j_total):
 def _batch_relabelings(seed, block, count, j_total, j1):
     """Membership matrix for the first ``count`` permutations of ``block``."""
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-    u = rng.random((count, j_total))
-    order = np.argsort(u, axis=1, kind="stable")
-    return _members(order[:, :j1], j_total)
+    return _lowest_members(rng.random((count, j_total)), j1)
+
+
+def _lowest_members(u, j1):
+    """Membership rows putting the ``j1`` smallest entries of each row of ``u`` in group 1.
+
+    The rows ``argsort(u, kind="stable")[:, :j1]`` picks, found by one row
+    sort: group 1 is ``u <= `` its j1-th smallest value.  Where a row's
+    j1-th and (j1 + 1)-th smallest values tie, the block takes the stable
+    argsort, which breaks the tie by column.
+    """
+    cut = np.sort(u, axis=1)[:, j1 - 1:j1 + 1]
+    if np.any(cut[:, 0] == cut[:, 1]):
+        return _members(np.argsort(u, axis=1, kind="stable")[:, :j1], u.shape[1])
+    return u <= cut[:, :1]
 
 
 def _pooled_sums(xd):
@@ -142,41 +156,110 @@ def _statistic(xd, sums, members, j1, j2, test):
     return variance_test(var1, j1, var2, j2)
 
 
+def _spread_order(m):
+    """The m tested columns in bit-reversed index order.
+
+    Every prefix of the order is spread evenly over the domain, and points
+    far apart settle a relabeling sooner than neighbours do.
+    """
+    bits = max(1, (m - 1).bit_length())
+    i = np.arange(m)
+    return np.argsort(sum(((i >> b) & 1) << (bits - 1 - b) for b in range(bits)))
+
+
+def _chunk_edges(m, kinds):
+    """Column counts after which a block's settled rows are dropped.
+
+    Chunks grow as ``_CHUNK``, 2 ``_CHUNK``, 4 ``_CHUNK``, ... columns, with
+    one more edge at m // 2 + 1, the first count at which a medP row can
+    settle.  No chunk is one column wide unless m == 1: a one-column
+    product takes BLAS's matrix-vector path, which rounds otherwise.
+    """
+    edges = {m, m // 2 + 1} if "medP" in kinds else {m}
+    e, w = _CHUNK, _CHUNK
+    while e < m:
+        edges.add(e)
+        w *= 2
+        e += w
+    edges = sorted(edges)
+    # an edge one column short of the next is dropped; m itself is kept
+    return [0] + [e for e, nxt in zip(edges, edges[1:] + [m + 2]) if nxt - e > 1]
+
+
+def _count_le(stat, degenerate, pvalue, limits, c):
+    """Per row of ``stat``, how many points have p <= c.
+
+    A point is settled by the bounds ``limits`` on its statistic; p is
+    evaluated only at the points between them and at degenerate points,
+    whose p is fixed by convention.
+    """
+    lo, hi = limits
+    le = stat > hi
+    # a flat index: 2-D nonzero is ten times slower on these shapes
+    flat = np.flatnonzero(degenerate | ~(le | (stat < lo)))
+    if flat.size:
+        le.flat[flat] = pvalue(np.divmod(flat, stat.shape[1])) <= c
+    return np.count_nonzero(le, axis=1)
+
+
+def _two_rows(rows):
+    """``rows``, repeated if it is one row: a one-row product is a matrix-vector one."""
+    return rows if len(rows) > 1 else np.repeat(rows, 2)
+
+
 def _block_counts(xd, sums, blocks, j1, j2, test, cut):
     """Per kind in ``cut``, how many relabelings of ``blocks`` reduce to <= its cut.
 
-    Counted in statistic space: a point is settled by the bounds on its
-    statistic, and p is evaluated only at the few points between the
-    bounds and at degenerate points, whose p is fixed by convention.
-    With the settled flags ``p <= cut`` known for every point, minP,
-    maxP and medP are <= cut exactly when at least 1, m or m // 2 + 1
-    points are; for an even m, a row with exactly m / 2 such points
-    reduces to the mean of the two middle p's, so its median is taken.
-    The counts equal those of reducing the full p matrix.  Each block's
-    rows are worked through in tiles of at most ``_TILE`` entries.
+    Each relabeling is worked only at the points that decide it.  The
+    columns are taken in ``_spread_order`` and in the chunks of
+    ``_chunk_edges``; each chunk's active rows are worked in tiles of at
+    most ``_TILE`` entries, and every row keeps, per kind, its count of
+    points with p <= cut (``_count_le``).  minP, maxP and medP are <= cut
+    exactly when at least 1, m or m // 2 + 1 points are, so a row is
+    settled for a kind once that many points are, or once so many are not
+    that it can no longer get there.  After each chunk, the rows settled
+    for every kind are dropped.  For an even m, a row with exactly m / 2
+    points <= cut reduces to the mean of the two middle p's, so such a
+    row is never settled early: its median is taken from its full p row.
+    The counts equal those of reducing the full p matrix.
     """
     m = xd.shape[1]
     need = {"minP": 1, "maxP": m, "medP": m // 2 + 1}
+    # a row is settled for a kind by need hits or by more than spare misses
+    spare = {k: m - need[k] + (k == "medP" and m % 2 == 0) for k in cut}
+    order = _spread_order(m)
+    edges = _chunk_edges(m, cut)
+    chunks = [(b, xd[:, cols], tuple(s[..., cols] for s in sums))
+              for a, b in zip(edges, edges[1:]) for cols in [order[a:b]]]
     counts = dict.fromkeys(cut, 0)
     limits = None
-    step = max(1, _TILE // m)
-    for tile in (b[i:i + step] for b in blocks for i in range(0, len(b), step)):
-        stat, degenerate, bounds, pvalue = _statistic(xd, sums, tile, j1, j2, test)
-        limits = limits or {kind: bounds(c) for kind, c in cut.items()}
+    for block in blocks:
+        hits = {k: np.zeros(len(block), dtype=np.intp) for k in cut}
+        rows = np.arange(len(block))
+        for done, xc, sc in chunks:
+            step = max(1, _TILE // xc.shape[1])
+            for tile in np.array_split(rows, -(-len(rows) // step)):
+                stat, degenerate, bounds, pvalue = _statistic(
+                    xc, sc, block[_two_rows(tile)], j1, j2, test)
+                limits = limits or {kind: bounds(c) for kind, c in cut.items()}
+                for kind, c in cut.items():
+                    hits[kind][tile] += _count_le(stat, degenerate, pvalue, limits[kind],
+                                                  c)[:len(tile)]
+            live = np.zeros(len(rows), dtype=bool)
+            for kind in cut:
+                h = hits[kind][rows]
+                live |= (h < need[kind]) & (done - h <= spare[kind])
+            rows = rows[live]
+            if not rows.size:
+                break
         for kind, c in cut.items():
-            lo, hi = limits[kind]
-            le = stat > hi
-            # a flat index: 2-D nonzero is ten times slower on these shapes
-            flat = np.flatnonzero(degenerate | ~(le | (stat < lo)))
-            if flat.size:
-                le.flat[flat] = pvalue(np.divmod(flat, m)) <= c
-            hits = np.count_nonzero(le, axis=1)
-            ok = hits >= need[kind]
+            counts[kind] += int(np.count_nonzero(hits[kind] >= need[kind]))
             if kind == "medP" and m % 2 == 0:
-                tie = np.flatnonzero(hits == need[kind] - 1)
+                tie = np.flatnonzero(hits[kind] == need[kind] - 1)
                 if tie.size:
-                    ok[tie] = np.median(pvalue(tie), axis=1) <= c
-            counts[kind] += int(np.count_nonzero(ok))
+                    pvalue = _statistic(xd, sums, block[_two_rows(tie)], j1, j2, test)[3]
+                    p = pvalue(np.arange(tie.size))
+                    counts[kind] += int(np.count_nonzero(np.median(p, axis=1) <= c))
     return counts
 
 

@@ -126,6 +126,14 @@ class TestSubtractBaseline:
         with pytest.raises(CalibrationError, match="outside"):
             subtract_baseline(cap, tiny)
 
+    def test_vertical_plane_has_no_height(self, rng):
+        # a one-row scan is fitted by the vertical plane through its row
+        row = HeightMatrix(z=rng.standard_normal((1, 30)), dx=DX_UM, dy=DY_UM)
+        fit = fit_sphere(row.point_cloud())
+        assert fit.coef[3] == 0.0
+        with pytest.raises(CalibrationError, match="no height"):
+            subtract_baseline(row, fit)
+
 
 class TestPlaneBypass:
     def test_plane_fit_and_subtract(self, rng):

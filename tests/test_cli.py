@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -156,6 +157,20 @@ class TestDecide:
         payload = json.loads(out.read_text())
         assert payload["overall"] == "improvement_detected"
         assert payload["recommendation"] == "continue"
+
+    def test_one_row_scan_named_in_calibration_error(self, tmp_path, rng, capsys):
+        # the plane through a one-row scan is vertical and gives its pixels no
+        # height; the error names the scan instead of failing at the BAC
+        prev = rough_stage(rng, "s1", n_loc=3, rows=20)
+        curr = rough_stage(rng, "s2", n_loc=3, rows=20)
+        prev.locations[1] = HeightMatrix(z=rng.standard_normal((1, 30)), location_id="loc01")
+        dirs = [str(write_stage_dir(tmp_path, r.stage_id, r)) for r in (prev, curr)]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["decide", *dirs, "--permutations", "50"])
+        assert code == EXIT_ERROR
+        assert "loc01: the fitted surface has no height" in capsys.readouterr().err
+        assert caught == []
 
     def test_null_pair_exit_none(self, tmp_path, rng):
         prev = write_stage_dir(tmp_path, "s1", rough_stage(rng, "s1", n_loc=7))

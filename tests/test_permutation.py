@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import chisquare
 
+from bacdetect import permutation
 from bacdetect.permutation import (
     _DRAW_BLOCK,
     _REDUCE,
@@ -20,8 +21,11 @@ from bacdetect.permutation import (
     _batch_moments,
     _batch_relabelings,
     _block_counts,
+    _chunk_edges,
+    _lowest_members,
     _members,
     _pooled_sums,
+    _spread_order,
     westfall_young,
     westfall_young_all,
 )
@@ -131,6 +135,22 @@ class TestDrawRelabeling:
         a = _batch_relabelings(2**63, 0, _DRAW_BLOCK, 20, 10)
         b = _batch_relabelings(2**63 + 1, 0, _DRAW_BLOCK, 20, 10)
         assert not np.array_equal(a, b)
+
+    def test_one_sort_draw_matches_stable_argsort(self, rng):
+        # the threshold draw picks what a stable argsort picks, also where
+        # the j1-th and (j1 + 1)-th smallest uniforms of a row tie
+        for j_total, j1 in ((3, 1), (9, 4), (18, 9), (25, 15)):
+            u = rng.random((400, j_total))
+            s = np.sort(u, axis=1)
+            tied = u.copy()
+            rows = rng.random(400) < 0.3
+            # the (j1 + 1)-th smallest takes the j1-th smallest's value
+            tied[rows] = np.where(u[rows] == s[rows, j1:j1 + 1], s[rows, j1 - 1:j1], u[rows])
+            assert np.count_nonzero(np.sort(tied, axis=1)[:, j1 - 1] == s[:, j1 - 1]) == 400
+            coarse = rng.integers(0, 4, (400, j_total)) / 4.0  # ties everywhere
+            for v in (u, tied, coarse, tied[~rows]):
+                expected = _members(np.argsort(v, axis=1, kind="stable")[:, :j1], j_total)
+                assert np.array_equal(_lowest_members(v, j1), expected), (j_total, j1)
 
     def test_empty_group_rejected(self, rng):
         g2 = rng.standard_normal((4, 10))
@@ -388,3 +408,114 @@ def test_moments_snap_cancellation_residue():
     for var in (var1, var2):
         assert np.all(var[:, :10] == 0.0)
         assert not np.any(np.signbit(var))
+
+
+def _tally_cases(xd, members, j1, j2, rows):
+    """(test, cut, expected counts) for the observed cuts and rows' own reductions."""
+    identity = _members(np.arange(j1)[None], j1 + j2)
+    for test in TALLY_TESTS:
+        ref = _p_space_reductions(xd, members, j1, j2, test)
+        observed = {k: v[0] for k, v in
+                    _p_space_reductions(xd, identity, j1, j2, test).items()}
+        cuts = [observed, {k: v + 1e-12 + 1e-9 * v for k, v in observed.items()}]
+        cuts += [{k: v[r] for k, v in ref.items()} for r in rows]
+        for cut in cuts:
+            yield test, cut, {k: int(np.count_nonzero(ref[k] <= cut[k])) for k in _REDUCE}
+
+
+@pytest.mark.parametrize("shape", ["plain", "offset"])
+@pytest.mark.parametrize("m", [16, 17, 18, 33, 251, 1000, 1001])
+def test_chunked_tally_matches_p_space(m, shape):
+    """Across every chunk edge, each kind alone and all three tally as the full p matrix."""
+    j1, j2 = 6, 5
+    rng = np.random.default_rng(m)
+    xd = rng.standard_normal((j1 + j2, m))
+    xd[j1:] += 0.3
+    xd[:, rng.random(m) < 0.05] = 1.0  # constant columns: degenerate points
+    if shape == "offset":
+        # variances cancel to about 1e-8 relative: a product that rounds
+        # otherwise moves p's well past the cut's tolerance
+        xd = 0.1 * xd + 1700.0
+    members = _batch_relabelings(m, 0, 256, j1 + j2, j1)
+    sums = _pooled_sums(xd)
+    for test, cut, expected in _tally_cases(xd, members, j1, j2, rows=(3, 100, 255)):
+        assert _block_counts(xd, sums, [members], j1, j2, test, cut) == expected, (test, cut)
+        for k in _REDUCE:
+            assert (_block_counts(xd, sums, [members], j1, j2, test, {k: cut[k]})
+                    == {k: expected[k]}), (test, k, cut[k])
+
+
+@pytest.mark.parametrize("shape", ["plain", "offset"])
+def test_even_median_ties_on_duplicated_rows(shape):
+    """Rows whose own even-m median is the cut, alone or duplicated, resolve as in p space."""
+    j1, j2, m = 4, 4, 250
+    rng = np.random.default_rng(31)
+    xd = rng.standard_normal((j1 + j2, m))
+    xd[j1] = xd[0]  # swapping curves 0 and j1 leaves every statistic as it is
+    xd[:, rng.random(m) < 0.05] = 1.0
+    if shape == "offset":
+        xd = 0.1 * xd + 1700.0
+    exhaustive = _members(np.array(list(combinations(range(j1 + j2), j1))), j1 + j2)
+    sums = _pooled_sums(xd)
+    for members in (exhaustive, np.vstack([exhaustive, exhaustive[::-1]])):
+        for test, cut, expected in _tally_cases(xd, members, j1, j2, rows=(0, 5, 40, 69)):
+            assert _block_counts(xd, sums, [members], j1, j2, test, cut) == expected
+            assert (_block_counts(xd, sums, [members], j1, j2, test, {"medP": cut["medP"]})
+                    == {"medP": expected["medP"]}), (test, cut["medP"])
+
+
+def test_chunk_edges():
+    """Edges run from 0 to m, doubling, with the medP edge; no chunk is one column."""
+    assert _chunk_edges(1000, ("maxP",)) == [0, 16, 48, 112, 240, 496, 1000]
+    assert _chunk_edges(1000, ("medP",)) == [0, 16, 48, 112, 240, 496, 501, 1000]
+    assert _chunk_edges(1, FAMILY_KINDS) == [0, 1]
+    for m in range(2, 1100):
+        for kinds in (("minP",), ("medP",), FAMILY_KINDS):
+            edges = _chunk_edges(m, kinds)
+            assert edges[0] == 0 and edges[-1] == m
+            assert min(np.diff(edges)) >= 2, (m, kinds)
+        assert sorted(_spread_order(m)) == list(range(m))
+
+
+def test_settled_rows_are_dropped(monkeypatch):
+    """On a strong mean shift, a maxP tally works out few relabelings x points."""
+    statistic = permutation._statistic
+    computed = []
+
+    def counted(xd, sums, members, *args):
+        computed.append(len(members) * xd.shape[1])
+        return statistic(xd, sums, members, *args)
+
+    monkeypatch.setattr(permutation, "_statistic", counted)
+    rng = np.random.default_rng(8)
+    g1, g2 = _toy_groups(rng, j1=8, j2=7, m=400, shift=-3.0)
+    cfg = PermutationConfig(n_permutations=2000, seed=3)
+    res = westfall_young(g1, g2, PointwiseTest(kind="mean", direction="greater"), "maxP", cfg)
+    assert res.corrected_p == 1 / 2000
+    assert sum(computed) < 0.25 * 2000 * 400
+
+
+def test_no_product_is_one_row_or_one_column(monkeypatch):
+    """A lone surviving row, a one-row block and a single tie row are worked as two rows."""
+    statistic = permutation._statistic
+    shapes = []
+
+    def recorded(xd, sums, members, *args):
+        shapes.append((len(members), xd.shape[1]))
+        return statistic(xd, sums, members, *args)
+
+    monkeypatch.setattr(permutation, "_statistic", recorded)
+    j1, j2, m = 5, 4, 34
+    rng = np.random.default_rng(41)
+    xd = rng.standard_normal((j1 + j2, m))
+    members = _batch_relabelings(41, 0, 300, j1 + j2, j1)
+    sums = _pooled_sums(xd)
+    for test in TALLY_TESTS:
+        ref = _p_space_reductions(xd, members, j1, j2, test)
+        # the row of least maxP is the last one a maxP tally drops; a row's
+        # own medP makes it the one tie row
+        for r in (int(np.argmin(ref["maxP"])), 7):
+            cut = {k: v[r] for k, v in ref.items()}
+            _block_counts(xd, sums, [members, members[r:r + 1]], j1, j2, test, cut)
+    assert min(shapes) >= (2, 2)
+    assert (2, m) in shapes  # a tie row recomputed alongside a copy of itself
