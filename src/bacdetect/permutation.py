@@ -221,7 +221,9 @@ def _block_counts(xd, sums, blocks, j1, j2, test, cut):
     for every kind are dropped.  For an even m, a row with exactly m / 2
     points <= cut reduces to the mean of the two middle p's, so such a
     row is never settled early: its median is taken from its full p row.
-    The counts equal those of reducing the full p matrix.
+    The counts equal those of reducing the full p matrix at a cut with the
+    engine's tolerance; at a cut with none, a chunk's product may round an
+    entry otherwise than the full product once J > 13.
     """
     m = xd.shape[1]
     need = {"minP": 1, "maxP": m, "medP": m // 2 + 1}

@@ -201,6 +201,12 @@ def load_stage(path):
                  if p.is_file() and p.suffix.lower() in MATRIX_SUFFIXES]
 
     files = sorted(files, key=lambda p: p.stem)
+    # a location is named by its file's stem, so two files of one stem
+    # (loc1.csv and loc1.txt, or one manifest entry listed twice) would
+    # be one location counted twice
+    for a, b in zip(files, files[1:]):
+        if a.stem == b.stem:
+            raise SurfaceDataError(f"{a} and {b} are both location {a.stem!r}")
     locations = []
     for f in files:
         if not f.exists():

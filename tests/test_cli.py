@@ -257,6 +257,20 @@ class TestCalibrate:
         z = np.loadtxt(files[0], delimiter=",")
         assert abs(z.mean()) < 0.02
 
+    def test_two_scans_of_one_location_write_nothing(self, tmp_path, rng, capsys):
+        d = tmp_path / "raw"
+        d.mkdir()
+        for name in ("loc1.csv", "loc1.txt", "loc2.csv"):
+            cap = sphere_cap(30, 40, 0.359, 0.369, (7.0, 5.5, 80.0), 1688.0,
+                             texture=0.02 * rng.standard_normal((30, 40)))
+            np.savetxt(d / name, cap.z, delimiter=",")
+        out = tmp_path / "cal"
+        assert main(["calibrate", str(d), "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "loc1.csv" in captured.err and "loc1.txt" in captured.err
+        assert not out.exists()
+
 
 class TestSimulate:
     SIM_FLAGS = ["--runs", "2", "--input-points", "30", "--permutations", "100",

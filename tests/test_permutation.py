@@ -423,11 +423,32 @@ def _tally_cases(xd, members, j1, j2, rows):
             yield test, cut, {k: int(np.count_nonzero(ref[k] <= cut[k])) for k in _REDUCE}
 
 
+CHUNK_MS = [16, 17, 18, 33, 251, 1000, 1001]
+
+
 @pytest.mark.parametrize("shape", ["plain", "offset"])
-@pytest.mark.parametrize("m", [16, 17, 18, 33, 251, 1000, 1001])
+@pytest.mark.parametrize("m", CHUNK_MS)
 def test_chunked_tally_matches_p_space(m, shape):
     """Across every chunk edge, each kind alone and all three tally as the full p matrix."""
-    j1, j2 = 6, 5
+    _check_chunked_tally(m, shape, 6, 5, rows=(3, 100, 255))
+
+
+@pytest.mark.parametrize("shape", ["plain", "offset"])
+@pytest.mark.parametrize("m", CHUNK_MS)
+@pytest.mark.parametrize("groups", [(15, 10), (16, 16)], ids=["15+10", "16+16"])
+def test_chunked_tally_matches_p_space_many_curves(groups, m, shape):
+    """The same at J > 13, the ``decide_curves`` shape (15, 10) included.
+
+    Only the observed cut and the engine's tolerance cut are checked here.
+    A permuted row's own reduction is a cut with no tolerance, and past
+    J = 13 BLAS may round a sub-product's sums otherwise than the full
+    product's, so exact equality at such a cut is checked only at J <= 13,
+    the largest group count (7 + 6) any tally test uses.
+    """
+    _check_chunked_tally(m, shape, *groups, rows=())
+
+
+def _check_chunked_tally(m, shape, j1, j2, rows):
     rng = np.random.default_rng(m)
     xd = rng.standard_normal((j1 + j2, m))
     xd[j1:] += 0.3
@@ -438,7 +459,7 @@ def test_chunked_tally_matches_p_space(m, shape):
         xd = 0.1 * xd + 1700.0
     members = _batch_relabelings(m, 0, 256, j1 + j2, j1)
     sums = _pooled_sums(xd)
-    for test, cut, expected in _tally_cases(xd, members, j1, j2, rows=(3, 100, 255)):
+    for test, cut, expected in _tally_cases(xd, members, j1, j2, rows):
         assert _block_counts(xd, sums, [members], j1, j2, test, cut) == expected, (test, cut)
         for k in _REDUCE:
             assert (_block_counts(xd, sums, [members], j1, j2, test, {k: cut[k]})

@@ -101,6 +101,26 @@ class TestLoadStage:
         rec = load_stage(d)
         assert [m.location_id for m in rec.locations] == ["aa", "bb", "mm", "zz"]
 
+    def test_two_files_of_one_stem_rejected(self, tmp_path, rng):
+        d = tmp_path / "stage"
+        d.mkdir()
+        for name in ("loc1.csv", "loc1.txt", "loc2.csv"):
+            np.savetxt(d / name, rng.standard_normal((4, 4)), delimiter=",")
+        with pytest.raises(SurfaceDataError, match="location 'loc1'") as err:
+            load_stage(d)
+        assert str(d / "loc1.csv") in str(err.value)
+        assert str(d / "loc1.txt") in str(err.value)
+
+    def test_manifest_file_listed_twice_rejected(self, tmp_path, rng):
+        d = tmp_path / "stage"
+        d.mkdir()
+        for name in ("a.csv", "b.csv"):
+            np.savetxt(d / name, rng.standard_normal((4, 4)), delimiter=",")
+        (d / "manifest.json").write_text(json.dumps(
+            {"stage_label": "x", "files": ["a.csv", "b.csv", "a.csv"]}))
+        with pytest.raises(SurfaceDataError, match="location 'a'"):
+            load_stage(d)
+
     def test_manifest_overrides_pitch(self, tmp_path, rng):
         d = tmp_path / "stage"
         d.mkdir()
