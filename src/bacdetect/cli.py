@@ -201,10 +201,18 @@ def cmd_decide(args):
         marginal_continues=args.marginal_continues,
         finest_tool=args.finest_tool,
     )
-    prev = _load_calibrated(args.prev_dir, skip=args.no_calibrate)
-    curr = _load_calibrated(args.curr_dir, skip=args.no_calibrate)
-    record = decide(build_stage_sample(prev, grid), build_stage_sample(curr, grid), cfg)
-    save_report(record, args.out or "report.json")
+    out = Path(args.out or "report.json")
+    if not out.parent.is_dir():
+        raise SurfaceDataError(f"cannot write report to {out}: "
+                               f"no directory {out.parent}")
+    # each stage is reduced to its curves before the next is read, so a
+    # decide holds one stage's scans at a time
+    prev = build_stage_sample(
+        _load_calibrated(args.prev_dir, skip=args.no_calibrate), grid)
+    curr = build_stage_sample(
+        _load_calibrated(args.curr_dir, skip=args.no_calibrate), grid)
+    record = decide(prev, curr, cfg)
+    save_report(record, out)
     print(_format_record(record))
     if record.overall == OVERALL_DETECTED:
         return EXIT_DETECTED

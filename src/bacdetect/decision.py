@@ -227,6 +227,9 @@ def decide(prev, curr, cfg):
         "m": cfg.grid.m,
         "s_max": cfg.grid.s_max,
     }
+    # a Welch report, the default, carries no key, as before 0.2.2
+    if cfg.pooled:
+        provenance["t_test"] = "pooled"
     return DecisionRecord(
         stage_prev=prev.stage_id,
         stage_curr=curr.stage_id,

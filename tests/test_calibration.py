@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+from bacdetect import calibration
 from bacdetect.calibration import (
     CalibrationError,
     calibrate_stage,
@@ -83,6 +84,35 @@ class TestFitSphere:
         c_ref, r_ref = refine_sphere(pts, np.append(fit.center, fit.radius))
         assert abs(fit.radius - r_ref) / RADIUS_UM <= 1e-5
         assert np.linalg.norm(np.array(fit.center) - c_ref) / RADIUS_UM <= 1e-5
+
+
+class TestChunkedFit:
+    """``fit_sphere`` sums over ``_CHUNK`` points at a time."""
+
+    def _fits(self, monkeypatch, points):
+        chunked = fit_sphere(points)
+        monkeypatch.setattr(calibration, "_CHUNK", len(points))
+        return chunked, fit_sphere(points)
+
+    def test_chunks_agree_with_one_block(self, rng, monkeypatch):
+        scan, _ = _textured_scan(rng, 25_000.0)  # 480 x 640: 18 chunks and a short one
+        points = scan.point_cloud()
+        assert len(points) > 10 * calibration._CHUNK
+        chunked, whole = self._fits(monkeypatch, points)
+        # c and -c are one surface, and eig may return either
+        sign = np.sign(chunked.coef @ whole.coef)
+        np.testing.assert_allclose(sign * chunked.coef, whole.coef, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(chunked.origin, whole.origin, rtol=1e-12, atol=0)
+        assert chunked.scale == pytest.approx(whole.scale, rel=1e-12, abs=0)
+        assert chunked.rms_residual == pytest.approx(whole.rms_residual, rel=1e-12, abs=0)
+
+    def test_one_chunk_is_bit_identical(self, rng, monkeypatch):
+        scan, _ = _textured_scan(rng, RADIUS_UM, rows=100, cols=150)
+        points = scan.point_cloud()
+        assert len(points) <= calibration._CHUNK
+        chunked, whole = self._fits(monkeypatch, points)
+        for name in ("origin", "scale", "coef", "rms_residual"):
+            np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
 
 
 class TestSubtractBaseline:
@@ -197,6 +227,23 @@ class TestCalibrateStage:
         out = calibrate_stage(rec)
         for m, (_, sa_true) in zip(out.locations, scans):
             assert abs(compute_sa(m) - sa_true) / sa_true <= 0.01
+
+    def test_calibrates_its_record_in_place(self, rng):
+        locs = [sphere_cap(40, 50, 0.359, 0.369, (9.0, 7.5, 100.0 + i), RADIUS_UM,
+                           texture=0.02 * rng.standard_normal((40, 50)))
+                for i in range(3)]
+        for i, m in enumerate(locs):
+            m.location_id, m.dropped_count = f"loc{i}", i
+        rec = StageRecord(stage_id="s", locations=list(locs))
+        raw = [m.z for m in locs]
+        expected = [subtract_baseline(m, fit_sphere(m.point_cloud())).z for m in locs]
+        out = calibrate_stage(rec)
+        assert out is rec
+        assert all(a is b for a, b in zip(out.locations, locs))
+        for i, (m, z_raw, z_cal) in enumerate(zip(out.locations, raw, expected)):
+            assert m.z is not z_raw
+            np.testing.assert_array_equal(m.z, z_cal)
+            assert m.dropped_count == i
 
     def test_empty_stage(self):
         with pytest.raises(CalibrationError):

@@ -202,6 +202,19 @@ class TestDecide:
         assert "seed must be an integer" in err and "gone" not in err
         assert not (tmp_path / "r.json").exists()
 
+    def test_missing_report_directory_rejected_before_any_stage_is_read(
+            self, tmp_path, monkeypatch, capsys):
+        def unread(path):
+            raise AssertionError(f"stage {path} was read")
+        monkeypatch.setattr(cli, "load_stage", unread)
+        out = tmp_path / "missing_dir" / "r.json"
+        code = main(["decide", "p", "c", "--out", str(out)])
+        assert code == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write report to {out}" in captured.err
+        assert not out.parent.exists()
+
     def test_missing_directory_errors(self, tmp_path):
         code = main(["decide", str(tmp_path / "gone"), str(tmp_path / "gone2"),
                      "--no-calibrate", "--out", str(tmp_path / "r.json")])

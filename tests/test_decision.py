@@ -20,6 +20,7 @@ from bacdetect.decision import (
 )
 from bacdetect.permutation import PermutationConfig
 from bacdetect.roughness import StageSample, default_grid
+from bacdetect.surface_io import load_report, save_report
 
 
 def _sample(curves, grid, stage_id="s"):
@@ -211,6 +212,22 @@ class TestDecide:
         assert families["upper_tail"].result.degenerate_points == grid.upper_tail_mask().sum()
         assert families["lower_tail"].result.degenerate_points == grid.lower_tail_mask().sum()
         assert record.provenance["tau"] == 0.2
+
+    def test_pooled_report_records_its_t_test(self, tmp_path):
+        # 6 curves at 3x the spread of 15: the two t tests give different p's
+        rng = np.random.default_rng(1)
+        grid = default_grid(m=50)
+        base = rng.standard_normal((21, grid.m)).cumsum(axis=1) * 0.1
+        prev, curr = _sample(3.0 * base[:6], grid, "prev"), _sample(base[6:], grid, "curr")
+        perm = PermutationConfig(n_permutations=200, seed=1)
+        welch, pooled = (decide(prev, curr, DecisionConfig(grid=grid, perm=perm, pooled=p))
+                         for p in (False, True))
+        assert "t_test" not in welch.provenance
+        assert pooled.provenance["t_test"] == "pooled"
+        assert welch.to_dict() != pooled.to_dict()
+        path = tmp_path / "pooled.json"
+        save_report(pooled, path)
+        assert load_report(path).provenance["t_test"] == "pooled"
 
     def test_sample_on_another_grid_rejected(self, rng, grid, cfg):
         other = default_grid(m=grid.m, s_max=0.99)
