@@ -1,6 +1,6 @@
 """Surface-quality change detection from bearing area curves."""
 
-__version__ = "0.2.2"
+__version__ = "0.3.0"
 
 from .calibration import (
     CalibrationError,

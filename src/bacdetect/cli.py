@@ -144,9 +144,22 @@ def _load_calibrated(path, skip=False):
     return calibrate_stage(rec)
 
 
+def _out_path(out, what):
+    """``out`` as a Path, or None if not given; checked before any work."""
+    if not out:
+        return None
+    out = Path(out)
+    if not out.parent.is_dir():
+        raise SurfaceDataError(f"cannot write {what} to {out}: "
+                               f"no directory {out.parent}")
+    if out.is_dir():
+        raise SurfaceDataError(f"cannot write {what} to {out}: it is a directory")
+    return out
+
+
 def _emit(text, out):
     if out:
-        Path(out).write_text(text)
+        out.write_text(text)
     else:
         sys.stdout.write(text)
 
@@ -162,12 +175,13 @@ def cmd_calibrate(args):
 
 
 def cmd_sa(args):
+    out = _out_path(args.out, "table")
     rec = _load_calibrated(args.stage_dir, skip=args.no_calibrate)
     lines = ["location\tsa_um"]
     for m in rec.locations:
         lines.append(f"{m.location_id}\t{compute_sa(m):.6g}")
     lines.append(f"median\t{median_sa(rec):.6g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", out)
     return 0
 
 
@@ -175,6 +189,7 @@ def cmd_bac(args):
     if not (0 < args.confidence < 1):
         raise ValueError("confidence must lie in (0, 1)")
     grid = default_grid(m=args.grid_size, s_max=args.s_max, tau=args.tau)
+    out = _out_path(args.out, "columns")
     rec = _load_calibrated(args.stage_dir, skip=args.no_calibrate)
     curves = build_stage_sample(rec, grid).curves
     mean = curves.mean(axis=0)
@@ -185,7 +200,7 @@ def cmd_bac(args):
     for k in range(grid.m):
         lines.append(f"{grid.points[k]:.6g}\t{mean[k]:.6g}\t{var[k]:.6g}"
                      f"\t{mean[k] - half[k]:.6g}\t{mean[k] + half[k]:.6g}")
-    _emit("\n".join(lines) + "\n", args.out)
+    _emit("\n".join(lines) + "\n", out)
     return 0
 
 
@@ -201,10 +216,7 @@ def cmd_decide(args):
         marginal_continues=args.marginal_continues,
         finest_tool=args.finest_tool,
     )
-    out = Path(args.out or "report.json")
-    if not out.parent.is_dir():
-        raise SurfaceDataError(f"cannot write report to {out}: "
-                               f"no directory {out.parent}")
+    out = _out_path(args.out or "report.json", "report")
     # each stage is reduced to its curves before the next is read, so a
     # decide holds one stage's scans at a time
     prev = build_stage_sample(
@@ -236,6 +248,7 @@ def cmd_simulate(args):
         seed=args.seed,
         null_model=args.null,
     ) for n in args.n]
+    out = _out_path(args.out, "results")
     rows = []
     for cfg in configs:
         n = cfg.n_curves_per_group
@@ -249,11 +262,11 @@ def cmd_simulate(args):
                      "type2_lower": res.type2_lower, "runs": res.runs_used})
         print(f"{n:>4}  {res.avg_l2_pct:>10.2f}  {res.type2_upper:>11.3f}  "
               f"{res.type2_lower:>11.3f}  {res.runs_used:>6}")
-    if args.out:
+    if out:
         payload = {"schema": "bacdetect-simulation-v1", "alpha": args.alpha,
                    "tau": args.tau, "permutations": args.permutations,
                    "seed": args.seed, "null_model": args.null, "rows": rows}
-        Path(args.out).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        out.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return 0
 
 

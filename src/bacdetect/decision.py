@@ -48,16 +48,6 @@ FAMILIES = {
 }
 
 
-def family_args(name, perm, grid, pooled=False):
-    """``(test, kind, cfg, domain)`` for ``westfall_young`` on ``name`` over ``grid``.
-
-    ``cfg`` is ``perm`` itself: every family draws the same relabelings,
-    as the Bonferroni split holds whatever the dependence between them.
-    """
-    test, kind, _, domain = FAMILIES[name]
-    return replace(test, pooled=pooled), kind, perm, domain(grid)
-
-
 @dataclass
 class DecisionConfig:
     alpha: float = 0.1
@@ -212,9 +202,11 @@ def decide(prev, curr, cfg):
         raise ValueError("stage samples are not evaluated on the configured grid")
     outcomes = {}
     p_values = []
-    for name in FAMILIES:
-        res = westfall_young(prev.curves, curr.curves,
-                             *family_args(name, cfg.perm, cfg.grid, cfg.pooled))
+    # every family draws the same relabelings, as the Bonferroni split
+    # holds whatever the dependence between them
+    for name, (test, kind, _, domain) in FAMILIES.items():
+        res = westfall_young(prev.curves, curr.curves, replace(test, pooled=cfg.pooled),
+                             kind, cfg.perm, domain(cfg.grid))
         p_values.append(res.corrected_p)
         band = band_p_value(res.corrected_p, cfg.alpha)
         outcomes[name] = FamilyOutcome(result=res, verdict=_verdict(name, band))
@@ -227,9 +219,12 @@ def decide(prev, curr, cfg):
         "m": cfg.grid.m,
         "s_max": cfg.grid.s_max,
     }
-    # a Welch report, the default, carries no key, as before 0.2.2
+    # a Welch report, the default, carries no key, as before 0.2.2, and a
+    # sampled one no exhaustive key, as before 0.3.0
     if cfg.pooled:
         provenance["t_test"] = "pooled"
+    if cfg.perm.exhaustive:
+        provenance["exhaustive"] = True
     return DecisionRecord(
         stage_prev=prev.stage_id,
         stage_curr=curr.stage_id,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .decision import family_args
+from .decision import FAMILIES
 from .permutation import PermutationConfig, westfall_young
 from .roughness import EmptyTailError, QuantileGrid
 
@@ -137,8 +137,9 @@ def run_tail_tests(x, prev, curr, tau, perm_cfg):
     decision, with the points x as the quantile grid.
     """
     grid = QuantileGrid(points=x, tau=tau)
-    return tuple(westfall_young(prev, curr, *family_args(name, perm_cfg, grid))
-                 for name in ("upper_tail", "lower_tail"))
+    tails = (FAMILIES["upper_tail"], FAMILIES["lower_tail"])
+    return tuple(westfall_young(prev, curr, test, kind, perm_cfg, domain(grid))
+                 for test, kind, _, domain in tails)
 
 
 def estimate_type2(cfg):

@@ -18,7 +18,7 @@ from bacdetect.cli import (
     build_parser,
     main,
 )
-from bacdetect.surface_io import HeightMatrix, StageRecord
+from bacdetect.surface_io import HeightMatrix, StageRecord, load_report
 from conftest import rough_stage, sphere_cap, write_stage_dir
 
 
@@ -73,6 +73,25 @@ class TestParser:
         assert main(argv) == EXIT_ERROR
         assert calls == []
         assert capsys.readouterr().out == ""
+
+    # decide's missing directory is tested in TestDecide
+    @pytest.mark.parametrize("argv, name, reason", [
+        (["sa", "s"], "missing/x.txt", "no directory"),
+        (["bac", "s"], "missing/x.txt", "no directory"),
+        (["sa", "s"], ".", "it is a directory"),
+        (["bac", "s"], ".", "it is a directory"),
+        (["decide", "p", "c"], ".", "it is a directory"),
+    ])
+    def test_unwritable_output_rejected_before_any_stage_is_read(
+            self, tmp_path, monkeypatch, capsys, argv, name, reason):
+        calls = []
+        monkeypatch.setattr(cli, "load_stage", calls.append)
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == EXIT_ERROR
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "cannot write" in captured.err and reason in captured.err
 
     def test_random_seed_accepted(self):
         args = build_parser().parse_args(["simulate", "--seed", "random"])
@@ -229,6 +248,20 @@ class TestDecide:
         assert main(["report", str(out)]) == 0
         assert capsys.readouterr().out.strip() in first
 
+    def test_report_of_0_2_2_pooled_decide_is_printed(self, tmp_path, rng, capsys):
+        # reports from 0.2.2 on may carry the t test they used
+        prev, curr = _improved_pair(tmp_path, rng)
+        out = tmp_path / "report.json"
+        main(["decide", str(prev), str(curr), *DECIDE_FLAGS, "--out", str(out)])
+        payload = json.loads(out.read_text())
+        payload["provenance"]["t_test"] = "pooled"
+        payload["tool"]["version"] = "0.2.2"
+        out.write_text(json.dumps(payload))
+        capsys.readouterr()
+        assert main(["report", str(out)]) == 0
+        assert "recommendation:" in capsys.readouterr().out
+        assert load_report(out).provenance["t_test"] == "pooled"
+
     # a str is the file's raw text; anything else is written as JSON
     @pytest.mark.parametrize("payload", [{"schema": "x"}, [1, 2], "", "{not json"])
     def test_report_of_wrong_shape_exits_error(self, tmp_path, capsys, payload):
@@ -334,6 +367,17 @@ class TestSimulate:
         assert json.loads(out.read_text())["rows"][0]["runs"] < 50
         header, row = capsys.readouterr().out.splitlines()
         assert dict(zip(header.split(), row.split()))["runs"] == "48"
+
+    def test_missing_output_directory_fails_before_any_run(
+            self, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, "estimate_type2", calls.append)
+        out = tmp_path / "missing" / "x.json"
+        assert main(["simulate", *self.SIM_FLAGS, "--out", str(out)]) == EXIT_ERROR
+        assert calls == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"cannot write results to {out}" in captured.err
 
     def test_invalid_later_row_fails_before_any_run(self, monkeypatch, capsys):
         calls = []

@@ -229,6 +229,20 @@ class TestDecide:
         save_report(pooled, path)
         assert load_report(path).provenance["t_test"] == "pooled"
 
+    def test_exhaustive_report_says_it_enumerated(self, tmp_path, rng, grid):
+        # 4 + 4 curves have C(8, 4) = 70 labelings
+        prev, curr = _null_pair(rng, grid, j=4)
+        sampled = PermutationConfig(n_permutations=500, seed=1)
+        exhaustive = PermutationConfig(n_permutations=500, seed=1, exhaustive=True)
+        record = decide(prev, curr, DecisionConfig(grid=grid, perm=exhaustive))
+        assert record.provenance["exhaustive"] is True
+        assert all(o.result.n_used == 70 for o in record.families.values())
+        sampled_record = decide(prev, curr, DecisionConfig(grid=grid, perm=sampled))
+        assert "exhaustive" not in sampled_record.provenance
+        path = tmp_path / "exhaustive.json"
+        save_report(record, path)
+        assert load_report(path).provenance["exhaustive"] is True
+
     def test_sample_on_another_grid_rejected(self, rng, grid, cfg):
         other = default_grid(m=grid.m, s_max=0.99)
         prev, curr = _null_pair(rng, grid)

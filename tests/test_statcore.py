@@ -128,6 +128,11 @@ class TestWelchMeanP:
         p_down, _ = _mean_test_p(2.0, 0.0, 5, 1.0, 0.0, 5, "less")
         assert p_up == 0.0 and p_down == 1.0
 
+    def test_degenerate_unequal_groups(self):
+        # Welch's df is 0 / 0 here, and df 1 stands in
+        p, deg = _mean_test_p([2.0, 1.0, 1.0], 0.0, 5, [1.0, 2.0, 1.0], 0.0, 7, "greater")
+        assert np.array_equal(p, [0.0, 1.0, 0.5]) and np.all(deg)
+
     def test_degenerate_pooled(self):
         # the pooled df stands in for Welch's df 1: betainc is exact at x = 0, 1
         p, deg = _mean_test_p([2.0, 1.0, 1.0], 0.0, 5, [1.0, 2.0, 1.0], 0.0, 7,
