@@ -1,6 +1,6 @@
 """Surface-quality change detection from bearing area curves."""
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"
 
 from .calibration import (
     CalibrationError,
@@ -15,7 +15,6 @@ from .permutation import (
     PermutationConfig,
     PointwiseTest,
     westfall_young,
-    westfall_young_all,
 )
 from .roughness import (
     BearingAreaCurve,

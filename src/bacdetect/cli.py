@@ -165,9 +165,17 @@ def _emit(text, out):
 
 
 def cmd_calibrate(args):
-    rec = _load_calibrated(args.stage_dir)
     out = Path(args.out)
+    # made before any scan is read, so an --out that cannot be made fails
+    # at once; removed again if the stage fails, so that writes nothing
+    made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
+    try:
+        rec = _load_calibrated(args.stage_dir)
+    except Exception:
+        for p in made:
+            p.rmdir()
+        raise
     for m in rec.locations:
         np.savetxt(out / f"{m.location_id}.csv", m.z, delimiter=",")
     print(f"wrote {len(rec.locations)} calibrated matrices to {out}")

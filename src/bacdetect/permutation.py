@@ -17,7 +17,6 @@ import numpy as np
 from .statcore import mean_test, variance_test
 
 _REDUCE = {"minP": np.min, "maxP": np.max, "medP": np.median}
-FAMILY_KINDS = tuple(_REDUCE)
 
 # relabelings are drawn in fixed-size blocks; block k is keyed by
 # (seed, k) so a run is reproducible regardless of execution order
@@ -167,7 +166,7 @@ def _spread_order(m):
     return np.argsort(sum(((i >> b) & 1) << (bits - 1 - b) for b in range(bits)))
 
 
-def _chunk_edges(m, kinds):
+def _chunk_edges(m, kind):
     """Column counts after which a block's settled rows are dropped.
 
     Chunks grow as ``_CHUNK``, 2 ``_CHUNK``, 4 ``_CHUNK``, ... columns, with
@@ -175,7 +174,7 @@ def _chunk_edges(m, kinds):
     settle.  No chunk is one column wide unless m == 1: a one-column
     product takes BLAS's matrix-vector path, which rounds otherwise.
     """
-    edges = {m, m // 2 + 1} if "medP" in kinds else {m}
+    edges = {m, m // 2 + 1} if kind == "medP" else {m}
     e, w = _CHUNK, _CHUNK
     while e < m:
         edges.add(e)
@@ -207,83 +206,77 @@ def _two_rows(rows):
     return rows if len(rows) > 1 else np.repeat(rows, 2)
 
 
-def _block_counts(xd, sums, blocks, j1, j2, test, cut):
-    """Per kind in ``cut``, how many relabelings of ``blocks`` reduce to <= its cut.
+def _block_counts(xd, sums, blocks, j1, j2, test, kind, cut):
+    """How many relabelings of ``blocks`` reduce by ``kind`` to <= ``cut``.
 
     Each relabeling is worked only at the points that decide it.  The
     columns are taken in ``_spread_order`` and in the chunks of
     ``_chunk_edges``; each chunk's active rows are worked in tiles of at
-    most ``_TILE`` entries, and every row keeps, per kind, its count of
-    points with p <= cut (``_count_le``).  minP, maxP and medP are <= cut
-    exactly when at least 1, m or m // 2 + 1 points are, so a row is
-    settled for a kind once that many points are, or once so many are not
-    that it can no longer get there.  After each chunk, the rows settled
-    for every kind are dropped.  For an even m, a row with exactly m / 2
-    points <= cut reduces to the mean of the two middle p's, so such a
-    row is never settled early: its median is taken from its full p row.
-    The counts equal those of reducing the full p matrix at a cut with the
-    engine's tolerance; at a cut with none, a chunk's product may round an
-    entry otherwise than the full product once J > 13.
+    most ``_TILE`` entries, and every row keeps its count of points with
+    p <= cut (``_count_le``).  minP, maxP and medP are <= cut exactly when
+    at least 1, m or m // 2 + 1 points are, so a row is settled once that
+    many points are, or once so many are not that it can no longer get
+    there.  After each chunk, the settled rows are dropped.  For an even
+    m, a row with exactly m / 2 points <= cut reduces to the mean of the
+    two middle p's, so such a row is never settled early: its median is
+    taken from its full p row.  The count equals that of reducing the full
+    p matrix at a cut with the engine's tolerance; at a cut with none, a
+    chunk's product may round an entry otherwise than the full product
+    once J > 13.
     """
     m = xd.shape[1]
-    need = {"minP": 1, "maxP": m, "medP": m // 2 + 1}
-    # a row is settled for a kind by need hits or by more than spare misses
-    spare = {k: m - need[k] + (k == "medP" and m % 2 == 0) for k in cut}
+    need = {"minP": 1, "maxP": m, "medP": m // 2 + 1}[kind]
+    even_median = kind == "medP" and m % 2 == 0
+    # a row is settled by need hits or by more than spare misses
+    spare = m - need + even_median
     order = _spread_order(m)
-    edges = _chunk_edges(m, cut)
+    edges = _chunk_edges(m, kind)
     chunks = [(b, xd[:, cols], tuple(s[..., cols] for s in sums))
               for a, b in zip(edges, edges[1:]) for cols in [order[a:b]]]
-    counts = dict.fromkeys(cut, 0)
+    count = 0
     limits = None
     for block in blocks:
-        hits = {k: np.zeros(len(block), dtype=np.intp) for k in cut}
+        hits = np.zeros(len(block), dtype=np.intp)
         rows = np.arange(len(block))
         for done, xc, sc in chunks:
             step = max(1, _TILE // xc.shape[1])
             for tile in np.array_split(rows, -(-len(rows) // step)):
                 stat, degenerate, bounds, pvalue = _statistic(
                     xc, sc, block[_two_rows(tile)], j1, j2, test)
-                limits = limits or {kind: bounds(c) for kind, c in cut.items()}
-                for kind, c in cut.items():
-                    hits[kind][tile] += _count_le(stat, degenerate, pvalue, limits[kind],
-                                                  c)[:len(tile)]
-            live = np.zeros(len(rows), dtype=bool)
-            for kind in cut:
-                h = hits[kind][rows]
-                live |= (h < need[kind]) & (done - h <= spare[kind])
-            rows = rows[live]
+                limits = limits or bounds(cut)
+                hits[tile] += _count_le(stat, degenerate, pvalue, limits, cut)[:len(tile)]
+            h = hits[rows]
+            rows = rows[(h < need) & (done - h <= spare)]
             if not rows.size:
                 break
-        for kind, c in cut.items():
-            counts[kind] += int(np.count_nonzero(hits[kind] >= need[kind]))
-            if kind == "medP" and m % 2 == 0:
-                tie = np.flatnonzero(hits[kind] == need[kind] - 1)
-                if tie.size:
-                    pvalue = _statistic(xd, sums, block[_two_rows(tie)], j1, j2, test)[3]
-                    p = pvalue(np.arange(tie.size))
-                    counts[kind] += int(np.count_nonzero(np.median(p, axis=1) <= c))
-    return counts
+        count += int(np.count_nonzero(hits >= need))
+        if even_median:
+            tie = np.flatnonzero(hits == need - 1)
+            if tie.size:
+                pvalue = _statistic(xd, sums, block[_two_rows(tie)], j1, j2, test)[3]
+                p = pvalue(np.arange(tie.size))
+                count += int(np.count_nonzero(np.median(p, axis=1) <= cut))
+    return count
 
 
-def westfall_young_all(g1, g2, test, cfg, domain=None, kinds=FAMILY_KINDS):
-    """Family reductions from a single permutation pass.
+def westfall_young(g1, g2, test, kind, cfg, domain=None):
+    """Permutation-corrected family test of two groups of curves.
 
     Parameters
     ----------
     g1, g2 : (J1, m) and (J2, m) arrays of curves, one row per location
     test : PointwiseTest
+    kind : the family statistic, 'minP', 'maxP' or 'medP'
     cfg : PermutationConfig
-    domain : bool array over the grid, optional
-    kinds : the reductions to tally, from FAMILY_KINDS
+    domain : bool array of shape (m,), the grid points tested; all if None
 
     Returns
     -------
-    dict mapping each of ``kinds`` to a FamilyTestResult.  The corrected
-    p is the share of relabelings whose family statistic is <= the
-    observed one.
+    FamilyTestResult.  The corrected p is the share of relabelings whose
+    family statistic is <= the observed one.
     """
-    if not set(kinds) <= set(_REDUCE):
-        raise ValueError(f"unknown family statistic in {kinds!r}")
+    if kind not in _REDUCE:
+        raise ValueError(f"unknown family statistic {kind!r}")
     x1 = np.asarray(g1, dtype=float)
     x2 = np.asarray(g2, dtype=float)
     if x1.ndim != 2 or x2.ndim != 2 or x1.shape[1] != x2.shape[1]:
@@ -292,7 +285,11 @@ def westfall_young_all(g1, g2, test, cfg, domain=None, kinds=FAMILY_KINDS):
     if j1 < 2 or j2 < 2:
         raise ValueError("each group needs at least 2 curves")
     m = x1.shape[1]
-    mask = np.ones(m, dtype=bool) if domain is None else np.asarray(domain, dtype=bool)
+    mask = np.ones(m, dtype=bool) if domain is None else np.asarray(domain)
+    # an index array would be cast to a mask without complaint
+    if mask.dtype != bool or mask.shape != (m,):
+        raise ValueError(f"domain must be a boolean mask of shape ({m},), "
+                         f"not an array of shape {mask.shape} and dtype {mask.dtype}")
     if not np.any(mask):
         raise ValueError("domain mask selects no grid points")
     xd = np.vstack([x1, x2])[:, mask]
@@ -304,14 +301,13 @@ def westfall_young_all(g1, g2, test, cfg, domain=None, kinds=FAMILY_KINDS):
     identity = _members(np.arange(j1)[None], j_total)
     sums = _pooled_sums(xd)
     _, deg, _, pvalue = _statistic(xd, sums, identity, j1, j2, test)
-    p_obs = pvalue(0)
-    observed = {k: float(_REDUCE[k](p_obs)) for k in kinds}
+    observed = float(_REDUCE[kind](pvalue(0)))
 
     if bool(np.all(deg)):
         # the groups coincide at every tested point: there is no evidence
         # for any one-sided alternative, so the corrected p is 1 rather
         # than the rank of the all-0.5 vector among mixed relabelings
-        counts = dict.fromkeys(kinds, n_used)
+        count = n_used
     else:
         starts = range(0, n_used, _DRAW_BLOCK)
         if cfg.exhaustive:
@@ -324,23 +320,13 @@ def westfall_young_all(g1, g2, test, cfg, domain=None, kinds=FAMILY_KINDS):
                       for b, i in enumerate(starts))
         # ties count as <=; the tolerance absorbs ulp-level drift between the
         # batched and single-row BLAS paths
-        cut = {k: v + 1e-12 + 1e-9 * v for k, v in observed.items()}
-        counts = _block_counts(xd, sums, blocks, j1, j2, test, cut)
+        cut = observed + 1e-12 + 1e-9 * observed
+        count = _block_counts(xd, sums, blocks, j1, j2, test, kind, cut)
 
     # sampled draws need not include the identity assignment
     floor = 0 if cfg.exhaustive else 1
-    return {k: FamilyTestResult(observed_stat=observed[k],
-                                corrected_p=max(counts[k], floor) / n_used,
-                                stat_kind=k,
-                                n_used=n_used,
-                                degenerate_points=int(np.count_nonzero(deg)))
-            for k in kinds}
-
-
-def westfall_young(g1, g2, test, kind, cfg, domain=None):
-    """Permutation-corrected family test of two groups of curves.
-
-    ``westfall_young_all`` tallying the one reduction ``kind``, one of
-    'minP', 'maxP', 'medP'.  Returns a FamilyTestResult.
-    """
-    return westfall_young_all(g1, g2, test, cfg, domain, kinds=(kind,))[kind]
+    return FamilyTestResult(observed_stat=observed,
+                            corrected_p=max(count, floor) / n_used,
+                            stat_kind=kind,
+                            n_used=n_used,
+                            degenerate_points=int(np.count_nonzero(deg)))

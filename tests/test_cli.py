@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -18,7 +19,7 @@ from bacdetect.cli import (
     build_parser,
     main,
 )
-from bacdetect.surface_io import HeightMatrix, StageRecord, load_report
+from bacdetect.surface_io import HeightMatrix, StageRecord, SurfaceDataError, load_report
 from conftest import rough_stage, sphere_cap, write_stage_dir
 
 
@@ -40,6 +41,12 @@ class TestParser:
             build_parser().parse_args(["--version"])
         assert exc.value.code == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_pyproject_version_is_package_version(self):
+        # a regex, not tomllib, which Python 3.10 lacks
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", text, re.M | re.S).group(1)
+        assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == __version__
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):
@@ -316,6 +323,29 @@ class TestCalibrate:
         assert captured.out == ""
         assert "loc1.csv" in captured.err and "loc1.txt" in captured.err
         assert not out.exists()
+
+    def test_out_under_a_file_rejected_before_any_stage_is_read(
+            self, tmp_path, monkeypatch, capsys):
+        def unread(path):
+            raise AssertionError(f"stage {path} was read")
+        monkeypatch.setattr(cli, "load_stage", unread)
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out = afile / "sub"
+        assert main(["calibrate", "s1", "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "Not a directory" in captured.err and str(out) in captured.err
+
+    def test_directories_made_for_out_removed_when_the_stage_fails(
+            self, tmp_path, monkeypatch, capsys):
+        def unreadable(path):
+            raise SurfaceDataError(f"stage {path} is unreadable")
+        monkeypatch.setattr(cli, "load_stage", unreadable)
+        out = tmp_path / "new" / "sub"
+        assert main(["calibrate", "s1", "--out", str(out)]) == EXIT_ERROR
+        assert "stage s1 is unreadable" in capsys.readouterr().err
+        assert not (tmp_path / "new").exists()
 
 
 class TestSimulate:

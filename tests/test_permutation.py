@@ -15,7 +15,6 @@ from bacdetect.permutation import (
     _DRAW_BLOCK,
     _REDUCE,
     _TILE,
-    FAMILY_KINDS,
     PermutationConfig,
     PointwiseTest,
     _batch_moments,
@@ -27,13 +26,12 @@ from bacdetect.permutation import (
     _pooled_sums,
     _spread_order,
     westfall_young,
-    westfall_young_all,
 )
 from bacdetect.statcore import mean_test, variance_test
 
 
 class TestFamilyStat:
-    """The observed family statistic of ``westfall_young_all``."""
+    """The observed family statistic of ``westfall_young``."""
 
     def test_direct_reductions(self, rng):
         g1, g2 = _toy_groups(rng, j1=5, j2=6, m=30)
@@ -44,9 +42,9 @@ class TestFamilyStat:
         p_var = variance_test(var1, 5, var2, 6)[3](...)
         for test, p in ((PointwiseTest(kind="mean", direction="less"), p_mean),
                         (PointwiseTest(kind="variance"), p_var)):
-            res = westfall_young_all(g1, g2, test, cfg, domain)
             for kind, reduce in (("minP", np.min), ("maxP", np.max), ("medP", np.median)):
-                assert res[kind].observed_stat == pytest.approx(reduce(p[domain]), rel=1e-9)
+                res = westfall_young(g1, g2, test, kind, cfg, domain)
+                assert res.observed_stat == pytest.approx(reduce(p[domain]), rel=1e-9)
 
     def test_even_count_median(self, rng):
         g1, g2 = _toy_groups(rng, m=2)
@@ -59,10 +57,10 @@ class TestFamilyStat:
     def test_constant_vector(self, rng):
         # identical groups give p = 0.5 at every point
         g = rng.standard_normal((4, 12))
-        res = westfall_young_all(g, g.copy(), PointwiseTest(kind="mean"),
+        for kind in _REDUCE:
+            res = westfall_young(g, g.copy(), PointwiseTest(kind="mean"), kind,
                                  PermutationConfig(n_permutations=20))
-        for kind in FAMILY_KINDS:
-            assert res[kind].observed_stat == pytest.approx(0.5, abs=1e-12)
+            assert res.observed_stat == pytest.approx(0.5, abs=1e-12)
 
     def test_unknown_kind(self, rng):
         g1, g2 = _toy_groups(rng)
@@ -74,9 +72,23 @@ class TestFamilyStat:
         # a domain that selects no grid point leaves nothing to reduce
         g1, g2 = _toy_groups(rng, m=5)
         with pytest.raises(ValueError, match="no grid points"):
-            westfall_young_all(g1, g2, PointwiseTest(kind="mean"),
-                               PermutationConfig(n_permutations=10),
-                               domain=np.zeros(5, dtype=bool))
+            westfall_young(g1, g2, PointwiseTest(kind="mean"), "minP",
+                           PermutationConfig(n_permutations=10), domain=np.zeros(5, dtype=bool))
+
+    def test_domain_of_wrong_length_rejected(self, rng):
+        g1, g2 = _toy_groups(rng, m=10)
+        with pytest.raises(ValueError, match=re.escape("shape (10,), not an array of "
+                                                       "shape (9,) and dtype bool")):
+            westfall_young(g1, g2, PointwiseTest(kind="mean"), "maxP",
+                           PermutationConfig(n_permutations=10), domain=np.ones(9, dtype=bool))
+
+    def test_index_domain_rejected(self, rng):
+        # cast to a mask, index 0 would drop column 0 and keep the rest
+        g1, g2 = _toy_groups(rng, m=10)
+        with pytest.raises(ValueError, match=re.escape("shape (10,), not an array of "
+                                                       "shape (10,) and dtype int")):
+            westfall_young(g1, g2, PointwiseTest(kind="mean"), "maxP",
+                           PermutationConfig(n_permutations=10), domain=list(range(10)))
 
 
 class TestDrawRelabeling:
@@ -177,7 +189,7 @@ class TestWestfallYoung:
     def test_exhaustive_counts_identity(self, rng):
         g1, g2 = _toy_groups(rng)
         cfg = PermutationConfig(n_permutations=1, seed=0, exhaustive=True)
-        for kind in FAMILY_KINDS:
+        for kind in _REDUCE:
             res = westfall_young(g1, g2, PointwiseTest(kind="mean"), kind, cfg)
             assert res.n_used == comb(8, 4)
             assert res.corrected_p >= 1 / comb(8, 4)
@@ -186,12 +198,12 @@ class TestWestfallYoung:
     def test_sampled_close_to_exhaustive(self, rng):
         g1, g2 = _toy_groups(rng, m=25, shift=0.6)
         test = PointwiseTest(kind="mean", direction="greater")
-        exact = westfall_young_all(
-            g1, g2, test, PermutationConfig(n_permutations=1, exhaustive=True))
-        sampled = westfall_young_all(
-            g1, g2, test, PermutationConfig(n_permutations=4000, seed=21))
-        for kind in FAMILY_KINDS:
-            assert abs(exact[kind].corrected_p - sampled[kind].corrected_p) < 0.05
+        for kind in _REDUCE:
+            exact = westfall_young(
+                g1, g2, test, kind, PermutationConfig(n_permutations=1, exhaustive=True))
+            sampled = westfall_young(
+                g1, g2, test, kind, PermutationConfig(n_permutations=4000, seed=21))
+            assert abs(exact.corrected_p - sampled.corrected_p) < 0.05
 
     def test_determinism(self, rng):
         g1, g2 = _toy_groups(rng)
@@ -201,41 +213,33 @@ class TestWestfallYoung:
         b = westfall_young(g1, g2, test, "medP", cfg)
         assert a == b
 
-    def test_all_matches_single_kind(self, rng):
-        g1, g2 = _toy_groups(rng)
-        cfg = PermutationConfig(n_permutations=600, seed=11)
-        test = PointwiseTest(kind="mean", direction="less")
-        bundle = westfall_young_all(g1, g2, test, cfg)
-        for kind in FAMILY_KINDS:
-            assert bundle[kind] == westfall_young(g1, g2, test, kind, cfg)
-
-    def test_single_kind_matches_all_on_wide_domain(self, rng):
-        g1, g2 = _toy_groups(rng, j1=6, j2=5, m=1000, shift=0.1)
+    @pytest.mark.parametrize("j1, j2, m, shift", [(4, 4, 30, 0.0), (6, 5, 1000, 0.1)],
+                             ids=["4+4", "6+5-wide"])
+    def test_each_kind_matches_p_space(self, rng, j1, j2, m, shift):
+        """Each kind's corrected p ranks the observed reduction among the full p matrix's."""
+        g1, g2 = _toy_groups(rng, j1=j1, j2=j2, m=m, shift=shift)
         cfg = PermutationConfig(n_permutations=1100, seed=3)
-        for test in (PointwiseTest(kind="mean", direction="greater"),
-                     PointwiseTest(kind="variance")):
-            bundle = westfall_young_all(g1, g2, test, cfg)
-            for kind in FAMILY_KINDS:
-                assert westfall_young(g1, g2, test, kind, cfg) == bundle[kind]
-
-    def test_kinds_selects_reductions(self, rng):
-        g1, g2 = _toy_groups(rng)
-        cfg = PermutationConfig(n_permutations=300, seed=8)
-        test = PointwiseTest(kind="variance")
-        some = westfall_young_all(g1, g2, test, cfg, kinds=("medP", "minP"))
-        assert list(some) == ["medP", "minP"]
-        bundle = westfall_young_all(g1, g2, test, cfg)
-        assert all(some[k] == bundle[k] for k in some)
-        with pytest.raises(ValueError, match="family statistic"):
-            westfall_young_all(g1, g2, test, cfg, kinds=("minP", "meanP"))
+        xd = np.vstack([g1, g2])
+        members = np.vstack([_batch_relabelings(3, b, min(_DRAW_BLOCK, 1100 - i), j1 + j2, j1)
+                             for b, i in enumerate(range(0, 1100, _DRAW_BLOCK))])
+        identity = _members(np.arange(j1)[None], j1 + j2)
+        for test in TALLY_TESTS:
+            ref = _p_space_reductions(xd, members, j1, j2, test)
+            observed = _p_space_reductions(xd, identity, j1, j2, test)
+            for kind in _REDUCE:
+                res = westfall_young(g1, g2, test, kind, cfg)
+                v = observed[kind][0]
+                cut = v + 1e-12 + 1e-9 * v
+                count = int(np.count_nonzero(ref[kind] <= cut))
+                assert res.corrected_p == max(count, 1) / 1100, (test, kind)
 
     def test_exhaustive_limit_checked_on_coincident_groups(self):
         # every point is degenerate, so nothing would be enumerated; the
         # C(30, 15) assignments are refused all the same
         g = np.tile(np.linspace(1.0, 2.0, 5), (15, 1))
         with pytest.raises(ValueError, match="too many"):
-            westfall_young_all(g, g.copy(), PointwiseTest(kind="mean"),
-                               PermutationConfig(n_permutations=1, exhaustive=True))
+            westfall_young(g, g.copy(), PointwiseTest(kind="mean"), "minP",
+                           PermutationConfig(n_permutations=1, exhaustive=True))
 
     def test_null_rate_controlled(self):
         # quick null check; the heavyweight FWER study lives in acceptance
@@ -274,6 +278,60 @@ class TestWestfallYoung:
             PointwiseTest(kind="median")
 
 
+# westfall_young on one 6 + 5 input, m = 40 with three constant columns:
+# (corrected_p, observed_stat, n_used, degenerate_points) per
+# (relabelings, pointwise test, kind).  At J <= 13 the chunked tally
+# counts exactly what the full p matrix counts, so a refactor of the
+# engine must reproduce these.
+PINNED = {
+    ("sampled", "greater", "minP"): (0.9828571428571429, 0.19758942920242475, 700, 3),
+    ("sampled", "greater", "maxP"): (0.9842857142857143, 0.9991959940047227, 700, 3),
+    ("sampled", "greater", "medP"): (1.0, 0.8647255369939526, 700, 3),
+    ("sampled", "less", "minP"): (0.018571428571428572, 0.0008040059952773217, 700, 3),
+    ("sampled", "less", "maxP"): (0.02, 0.8024105707975753, 700, 3),
+    ("sampled", "less", "medP"): (0.002857142857142857, 0.13527446300604734, 700, 3),
+    ("sampled", "pooled", "minP"): (0.9871428571428571, 0.20492777188240163, 700, 3),
+    ("sampled", "pooled", "maxP"): (0.9957142857142857, 0.99963606491378, 700, 3),
+    ("sampled", "pooled", "medP"): (1.0, 0.874921712859902, 700, 3),
+    ("sampled", "variance", "minP"): (0.4642857142857143, 0.015728427121980002, 700, 3),
+    ("sampled", "variance", "maxP"): (0.07285714285714286, 0.9545332002736262, 700, 3),
+    ("sampled", "variance", "medP"): (0.9185714285714286, 0.5511903436496493, 700, 3),
+    ("exhaustive", "greater", "minP"): (0.9848484848484849, 0.19758942920242475, 462, 3),
+    ("exhaustive", "greater", "maxP"): (0.9805194805194806, 0.9991959940047227, 462, 3),
+    ("exhaustive", "greater", "medP"): (1.0, 0.8647255369939526, 462, 3),
+    ("exhaustive", "less", "minP"): (0.021645021645021644, 0.0008040059952773217, 462, 3),
+    ("exhaustive", "less", "maxP"): (0.017316017316017316, 0.8024105707975753, 462, 3),
+    ("exhaustive", "less", "medP"): (0.0021645021645021645, 0.13527446300604734, 462, 3),
+    ("exhaustive", "pooled", "minP"): (0.987012987012987, 0.20492777188240163, 462, 3),
+    ("exhaustive", "pooled", "maxP"): (0.9913419913419913, 0.99963606491378, 462, 3),
+    ("exhaustive", "pooled", "medP"): (1.0, 0.874921712859902, 462, 3),
+    ("exhaustive", "variance", "minP"): (0.47186147186147187, 0.015728427121980002, 462, 3),
+    ("exhaustive", "variance", "maxP"): (0.07792207792207792, 0.9545332002736262, 462, 3),
+    ("exhaustive", "variance", "medP"): (0.9112554112554112, 0.5511903436496493, 462, 3),
+}
+
+PINNED_TESTS = {"greater": PointwiseTest(kind="mean", direction="greater"),
+                "less": PointwiseTest(kind="mean", direction="less"),
+                "pooled": PointwiseTest(kind="mean", direction="greater", pooled=True),
+                "variance": PointwiseTest(kind="variance")}
+PINNED_CFGS = {"sampled": PermutationConfig(n_permutations=700, seed=9),
+               "exhaustive": PermutationConfig(n_permutations=1, exhaustive=True)}
+
+
+def test_engine_outputs_pinned():
+    rng = np.random.default_rng(2021)
+    x = rng.standard_normal((11, 40))
+    x[6:] += 0.5
+    x[:, [3, 17, 30]] = 1.0
+    for (label, name, kind), (p, stat, n_used, degenerate) in PINNED.items():
+        res = westfall_young(x[:6], x[6:], PINNED_TESTS[name], kind, PINNED_CFGS[label])
+        assert (res.corrected_p, res.n_used, res.degenerate_points, res.stat_kind) == (
+            p, n_used, degenerate, kind), (label, name, kind)
+        # the observed p's come from a BLAS product, whose last bit may
+        # differ with the CPU's kernel
+        assert res.observed_stat == pytest.approx(stat, rel=1e-12, abs=0), (label, name, kind)
+
+
 @settings(max_examples=60, deadline=None)
 @given(j1=st.integers(2, 5), j2=st.integers(2, 5), m=st.integers(1, 20),
        seed=st.integers(0, 2**32 - 1), data=st.data())
@@ -285,10 +343,10 @@ def test_exhaustive_invariant_to_row_order(j1, j2, m, seed, data):
     order2 = data.draw(st.permutations(range(j2)))
     cfg = PermutationConfig(n_permutations=1, exhaustive=True)
     for test in (PointwiseTest(kind="mean", direction="greater"), PointwiseTest(kind="variance")):
-        a = westfall_young_all(g1, g2, test, cfg)
-        b = westfall_young_all(g1[list(order1)], g2[list(order2)], test, cfg)
-        for kind in FAMILY_KINDS:
-            assert a[kind].corrected_p == b[kind].corrected_p
+        for kind in _REDUCE:
+            a = westfall_young(g1, g2, test, kind, cfg)
+            b = westfall_young(g1[list(order1)], g2[list(order2)], test, kind, cfg)
+            assert a.corrected_p == b.corrected_p
 
 
 TALLY_TESTS = [PointwiseTest(kind="mean", direction=d, pooled=pooled)
@@ -305,6 +363,11 @@ def _p_space_reductions(xd, members, j1, j2, test):
     else:
         p = variance_test(var1, j1, var2, j2)[3](...)
     return {k: f(p, axis=1) for k, f in _REDUCE.items()}
+
+
+def _counts(xd, sums, blocks, j1, j2, test, cut):
+    """``_block_counts`` of each kind in ``cut`` at its own cut."""
+    return {k: _block_counts(xd, sums, blocks, j1, j2, test, k, c) for k, c in cut.items()}
 
 
 @settings(max_examples=150, deadline=None)
@@ -340,8 +403,8 @@ def test_statistic_tally_matches_p_space(j1, j2, m, seed, shape, shift, exhausti
         cuts += [{k: v[r] for k, v in ref.items()} for r in rows]
         for cut in cuts:
             expected = {k: int(np.count_nonzero(ref[k] <= cut[k])) for k in _REDUCE}
-            assert (_block_counts(xd, _pooled_sums(xd), [members], j1, j2, test, cut)
-                    == expected), (test, cut)
+            assert _counts(xd, _pooled_sums(xd), [members], j1, j2, test, cut) == expected, (
+                test, cut)
 
 
 def test_tiled_tally_matches_p_space():
@@ -367,11 +430,7 @@ def test_tiled_tally_matches_p_space():
                  for r in (step // 2, step + 1, len(members) // 2, len(members) - 2)]
         for cut in cuts:
             expected = {k: int(np.count_nonzero(ref[k] <= cut[k])) for k in _REDUCE}
-            assert (_block_counts(xd, sums, [members], j1, j2, test, cut)
-                    == expected), (test, cut)
-            for k in _REDUCE:
-                assert (_block_counts(xd, sums, [members], j1, j2, test, {k: cut[k]})
-                        == {k: expected[k]}), (test, k, cut[k])
+            assert _counts(xd, sums, [members], j1, j2, test, cut) == expected, (test, cut)
 
 
 def test_blocks_of_unequal_length_tally_as_one():
@@ -393,9 +452,9 @@ def test_blocks_of_unequal_length_tally_as_one():
         for cut in (observed, {k: v[100] for k, v in ref.items()},
                     {k: v[_DRAW_BLOCK + 20] for k, v in ref.items()}):
             expected = {k: int(np.count_nonzero(ref[k] <= cut[k])) for k in _REDUCE}
-            alone = [_block_counts(xd, sums, [b], j1, j2, test, cut) for b in blocks]
+            alone = [_counts(xd, sums, [b], j1, j2, test, cut) for b in blocks]
             assert {k: alone[0][k] + alone[1][k] for k in cut} == expected, (test, cut)
-            assert _block_counts(xd, sums, blocks, j1, j2, test, cut) == expected, (test, cut)
+            assert _counts(xd, sums, blocks, j1, j2, test, cut) == expected, (test, cut)
 
 
 def test_moments_snap_cancellation_residue():
@@ -429,7 +488,7 @@ CHUNK_MS = [16, 17, 18, 33, 251, 1000, 1001]
 @pytest.mark.parametrize("shape", ["plain", "offset"])
 @pytest.mark.parametrize("m", CHUNK_MS)
 def test_chunked_tally_matches_p_space(m, shape):
-    """Across every chunk edge, each kind alone and all three tally as the full p matrix."""
+    """Across every chunk edge, each kind tallies as the full p matrix."""
     _check_chunked_tally(m, shape, 6, 5, rows=(3, 100, 255))
 
 
@@ -460,10 +519,7 @@ def _check_chunked_tally(m, shape, j1, j2, rows):
     members = _batch_relabelings(m, 0, 256, j1 + j2, j1)
     sums = _pooled_sums(xd)
     for test, cut, expected in _tally_cases(xd, members, j1, j2, rows):
-        assert _block_counts(xd, sums, [members], j1, j2, test, cut) == expected, (test, cut)
-        for k in _REDUCE:
-            assert (_block_counts(xd, sums, [members], j1, j2, test, {k: cut[k]})
-                    == {k: expected[k]}), (test, k, cut[k])
+        assert _counts(xd, sums, [members], j1, j2, test, cut) == expected, (test, cut)
 
 
 @pytest.mark.parametrize("shape", ["plain", "offset"])
@@ -480,21 +536,19 @@ def test_even_median_ties_on_duplicated_rows(shape):
     sums = _pooled_sums(xd)
     for members in (exhaustive, np.vstack([exhaustive, exhaustive[::-1]])):
         for test, cut, expected in _tally_cases(xd, members, j1, j2, rows=(0, 5, 40, 69)):
-            assert _block_counts(xd, sums, [members], j1, j2, test, cut) == expected
-            assert (_block_counts(xd, sums, [members], j1, j2, test, {"medP": cut["medP"]})
-                    == {"medP": expected["medP"]}), (test, cut["medP"])
+            assert _counts(xd, sums, [members], j1, j2, test, cut) == expected, (test, cut)
 
 
 def test_chunk_edges():
     """Edges run from 0 to m, doubling, with the medP edge; no chunk is one column."""
-    assert _chunk_edges(1000, ("maxP",)) == [0, 16, 48, 112, 240, 496, 1000]
-    assert _chunk_edges(1000, ("medP",)) == [0, 16, 48, 112, 240, 496, 501, 1000]
-    assert _chunk_edges(1, FAMILY_KINDS) == [0, 1]
+    assert _chunk_edges(1000, "maxP") == [0, 16, 48, 112, 240, 496, 1000]
+    assert _chunk_edges(1000, "medP") == [0, 16, 48, 112, 240, 496, 501, 1000]
+    assert _chunk_edges(1, "medP") == [0, 1]
     for m in range(2, 1100):
-        for kinds in (("minP",), ("medP",), FAMILY_KINDS):
-            edges = _chunk_edges(m, kinds)
+        for kind in _REDUCE:
+            edges = _chunk_edges(m, kind)
             assert edges[0] == 0 and edges[-1] == m
-            assert min(np.diff(edges)) >= 2, (m, kinds)
+            assert min(np.diff(edges)) >= 2, (m, kind)
         assert sorted(_spread_order(m)) == list(range(m))
 
 
@@ -537,6 +591,6 @@ def test_no_product_is_one_row_or_one_column(monkeypatch):
         # own medP makes it the one tie row
         for r in (int(np.argmin(ref["maxP"])), 7):
             cut = {k: v[r] for k, v in ref.items()}
-            _block_counts(xd, sums, [members, members[r:r + 1]], j1, j2, test, cut)
+            _counts(xd, sums, [members, members[r:r + 1]], j1, j2, test, cut)
     assert min(shapes) >= (2, 2)
     assert (2, m) in shapes  # a tie row recomputed alongside a copy of itself

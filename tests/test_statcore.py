@@ -5,7 +5,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.special import gammaln
 
-from bacdetect.permutation import PermutationConfig, PointwiseTest, westfall_young_all
+from bacdetect.permutation import PermutationConfig, PointwiseTest, westfall_young
 from bacdetect.statcore import f_sf, mean_test, student_t_sf, variance_test
 
 
@@ -196,9 +196,9 @@ class TestPointwiseMeanTest:
     def test_grid_mismatch(self, rng):
         # the engine is the one place curves reach the pointwise test
         with pytest.raises(ValueError, match="one evaluation grid"):
-            westfall_young_all(rng.standard_normal((4, 10)), rng.standard_normal((4, 11)),
-                               PointwiseTest(kind="mean", direction="greater"),
-                               PermutationConfig(n_permutations=10))
+            westfall_young(rng.standard_normal((4, 10)), rng.standard_normal((4, 11)),
+                           PointwiseTest(kind="mean", direction="greater"), "maxP",
+                           PermutationConfig(n_permutations=10))
 
 
 class TestPointwiseVarianceTest:
