@@ -24,6 +24,15 @@ _DRAW_BLOCK = 512
 # blocks are worked in tiles of at most this many entries: a tile's
 # float arrays (125 KiB) stay in L2 and under malloc's mmap threshold
 _TILE = 16_000
+# glibc's malloc hands the free top of its heap back to the system past a
+# trim threshold of 128 KiB, and serves blocks above that size from fresh
+# maps, so the engine's arrays, freed at every tile, page-fault back in on
+# the next one: 3,200 minor faults per decide_curves decide, 75 per
+# type2_sim replicate.  Freeing one block past the threshold raises it, and
+# the trim threshold with it, for the whole process (mallopt(3), "dynamic
+# mmap threshold"); elsewhere this allocation is a no-op.
+np.empty(1 << 18)
+
 # the first column chunk of a block is this wide, and each next one twice as wide
 _CHUNK = 16
 

@@ -104,14 +104,39 @@ class TestParser:
         args = build_parser().parse_args(["simulate", "--seed", "random"])
         assert isinstance(args.seed, int)
 
-    def test_import_skips_scipy_stats(self):
-        # scipy.stats costs about a second of start-up on every invocation
+    def test_commands_run_without_scipy(self, tmp_path, rng, capsys):
+        # the runtime needs numpy alone: with scipy made unimportable, decide,
+        # bac and simulate exit and print exactly as they do in this process,
+        # and no scipy module is loaded, lazily or otherwise
+        prev, curr = _improved_pair(tmp_path, rng)
+        runs = [["decide", str(prev), str(curr), *DECIDE_FLAGS, "--out", str(tmp_path / "r.json")],
+                ["bac", str(prev), "--no-calibrate", "--grid-size", "40"],
+                ["simulate", *TestSimulate.SIM_FLAGS]]
+        expected = []
+        for argv in runs:
+            code = main(argv)
+            expected.append([code, capsys.readouterr().out])
+        assert expected[0][0] == EXIT_DETECTED
         src = Path(__file__).resolve().parent.parent / "src"
         env = {**os.environ,
                "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
-        code = ("import sys, bacdetect.cli as c; c.build_parser(); "
-                "sys.exit('scipy.stats' in sys.modules)")
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        script = (
+            "import contextlib, io, json, sys\n"
+            "sys.modules['scipy'] = None\n"
+            "from bacdetect import cli\n"
+            "out = []\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    buf = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(buf):\n"
+            "        out.append([cli.main(argv), buf.getvalue()])\n"
+            "loaded = [m for m, mod in sys.modules.items() if m.split('.')[0] == 'scipy' and mod]\n"
+            "print(json.dumps([out, loaded]))\n")
+        res = subprocess.run([sys.executable, "-c", script, json.dumps(runs)],
+                             env=env, capture_output=True, text=True)
+        assert res.returncode == 0, res.stderr
+        out, loaded = json.loads(res.stdout)
+        assert out == expected
+        assert loaded == []
 
 
 class TestSa:

@@ -2,11 +2,23 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import betainc as scipy_betainc
+from scipy.special import betaincinv as scipy_betaincinv
 from scipy.special import gammaln
 
+from bacdetect import statcore
 from bacdetect.permutation import PermutationConfig, PointwiseTest, westfall_young
-from bacdetect.statcore import f_sf, mean_test, student_t_sf, variance_test
+from bacdetect.statcore import (
+    f_isf,
+    f_sf,
+    mean_test,
+    student_t_isf,
+    student_t_sf,
+    variance_test,
+)
 
 
 def t_sf_oracle(t, df):
@@ -227,3 +239,147 @@ class TestPointwiseVarianceTest:
         # f = var1 / 0 is +inf, where betainc gives p = 0 exactly
         _, deg, _, pvalue = variance_test([2.0, 0.0], 4, [0.0, 0.0], 6)
         assert np.array_equal(pvalue(...), [0.0, 0.5]) and np.all(deg)
+
+
+# The incomplete beta is checked against scipy's, which the runtime no longer
+# imports, over the (a, b, x) the engine reaches: a = df2 / 2 and b = df1 / 2
+# for the F test, b = 1/2 for the t test.
+def _engine_range(n, seed):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(0.5, 30.0, n)
+    b = rng.choice([0.5, 1.0, 3.5, 7.0], n)
+    b[::2] = rng.uniform(0.5, 30.0, b[::2].size)
+    return a, b
+
+
+class TestIncompleteBeta:
+    def test_matches_scipy_over_engine_range(self):
+        a, b = _engine_range(20_000, 1)
+        rng = np.random.default_rng(2)
+        swap = (a + 1.0) / (a + b + 2.0)
+        # x anywhere, near 0, near 1, and within an ulp-scale step of the swap point
+        x = np.concatenate([rng.uniform(0.0, 1.0, a.size), 10.0 ** rng.uniform(-12, -1, a.size),
+                            1.0 - 10.0 ** rng.uniform(-12, -1, a.size),
+                            swap * (1.0 + rng.uniform(-1e-12, 1e-12, a.size))])
+        aa, bb = np.tile(a, 4), np.tile(b, 4)
+        ref = scipy_betainc(aa, bb, x)
+        keep = ref > 1e-250  # below that, both underflow their last digits
+        got = statcore._betainc(aa, bb, x)
+        assert np.max(np.abs(got - ref)[keep] / ref[keep]) <= 1e-12
+
+    def test_inverse_matches_scipy_over_engine_range(self):
+        a, b = _engine_range(5_000, 3)
+        rng = np.random.default_rng(4)
+        q = np.concatenate([rng.uniform(0.0, 1.0, a.size), 10.0 ** rng.uniform(-14, -1, a.size),
+                            1.0 - 10.0 ** rng.uniform(-14, -1, a.size)])
+        aa, bb = np.tile(a, 3), np.tile(b, 3)
+        ref = scipy_betaincinv(aa, bb, q)
+        got = statcore._betaincinv(aa, bb, q)
+        assert np.max(np.abs(got - ref) / ref) <= 1e-12
+
+    def test_exact_at_the_ends(self):
+        a, b = _engine_range(50, 5)
+        assert np.array_equal(statcore._betainc(a, b, np.zeros(50)), np.zeros(50))
+        assert np.array_equal(statcore._betainc(a, b, np.ones(50)), np.ones(50))
+        assert np.array_equal(statcore._betaincinv(a, b, np.zeros(50)), np.zeros(50))
+        assert np.array_equal(statcore._betaincinv(a, b, np.ones(50)), np.ones(50))
+
+    def test_monotone_in_x_across_the_swap_point(self):
+        # the only switch of method is each entry's own swap point; steps of
+        # 1e-9 in x move I_x by far more than its rounding
+        for a, b in [(4.0, 0.5), (11.5, 0.5), (0.5, 4.5), (4.5, 7.0), (7.0, 4.5), (30.0, 30.0)]:
+            s = (a + 1.0) / (a + b + 2.0)
+            x = s + np.linspace(-2e-7, 2e-7, 401)
+            assert np.all(np.diff(statcore._betainc(a, b, x)) > 0), (a, b)
+
+    def test_inverse_monotone_across_its_switches(self):
+        # q = 1/2 flips the tail solved, and the t start covers b = 1/2 from a = 2
+        for a, b in [(4.0, 0.5), (0.5, 4.0), (1.9, 0.5), (2.0, 0.5), (4.5, 7.0), (0.7, 0.9)]:
+            q = 0.5 + np.linspace(-1e-7, 1e-7, 201)
+            assert np.all(np.diff(statcore._betaincinv(a, b, q)) > 0), (a, b)
+
+    def test_inverse_round_trip(self):
+        a, b = _engine_range(2_000, 6)
+        q = np.random.default_rng(7).uniform(0.0, 1.0, a.size)
+        x = statcore._betaincinv(a, b, q)
+        # the forward is steep at large a and b: I_x moves 50 times its
+        # relative error in x there
+        assert np.allclose(statcore._betainc(a, b, x), q, rtol=1e-10, atol=1e-15)
+        # the statistic back from its tail, where p < 0.9 holds it to ten digits
+        f = np.exp(np.random.default_rng(8).uniform(-4, 4, a.size))
+        df1, df2 = 2 * b, 2 * a
+        p = f_sf(f, df1, df2)
+        assert np.allclose(f_isf(p, df1, df2)[p < 0.9], f[p < 0.9], rtol=1e-10)
+        t = np.random.default_rng(9).uniform(-6, 6, a.size)
+        p = student_t_sf(t, df2)
+        assert np.allclose(student_t_isf(p, df2)[p < 0.9], t[p < 0.9], rtol=1e-10, atol=1e-12)
+
+
+class TestClosedForms:
+    t = np.array([-40.0, -3.0, -0.4, 0.0, 0.3, 1.0, 2.5, 7.0, 150.0])
+
+    # each closed form in a form without cancellation: t >= 0 directly, t < 0
+    # as 1 minus the tail at -t
+    @staticmethod
+    def _reflected(tail, t):
+        return np.where(t >= 0, tail(np.abs(t)), 1.0 - tail(np.abs(t)))
+
+    def test_t_one_df_is_cauchy(self):
+        # 1/2 - atan(t) / pi = atan(1 / t) / pi for t > 0
+        with np.errstate(divide="ignore"):
+            exact = self._reflected(lambda t: np.arctan(1.0 / t) / np.pi, self.t)
+        assert np.allclose(student_t_sf(self.t, 1), exact, rtol=1e-13, atol=0)
+
+    def test_t_two_df(self):
+        # 1/2 - t / (2 sqrt(2 + t^2)) = 1 / (r (r + t)) with r = sqrt(2 + t^2)
+        r = np.sqrt(2 + self.t**2)
+        exact = self._reflected(lambda t: 1.0 / (r * (r + t)), self.t)
+        assert np.allclose(student_t_sf(self.t, 2), exact, rtol=1e-13, atol=0)
+
+    def test_f_two_numerator_df(self):
+        f = np.array([0.0, 0.01, 0.5, 1.0, 3.0, 20.0, 400.0])
+        for d2 in (1.0, 4.0, 9.0, 23.0):
+            exact = (d2 / (d2 + 2 * f)) ** (d2 / 2)
+            assert np.allclose(f_sf(f, 2, d2), exact, rtol=1e-13, atol=0), d2
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 700), data=st.data())
+def test_each_entry_alone_bit_for_bit(seed, n, data):
+    """An entry's p is its own: alone, in any slice and in any reshape, bit for bit."""
+    rng = np.random.default_rng(seed)
+    a, b = _engine_range(n, seed)
+    x = rng.uniform(0.0, 1.0, n) ** rng.choice([1.0, 4.0], n)
+    p = statcore._betainc(a, b, x)
+    k = data.draw(st.integers(0, n - 1))
+    assert statcore._betainc(a[k], b[k], x[k]) == p[k]
+    lo = data.draw(st.integers(0, n - 1))
+    hi = data.draw(st.integers(lo + 1, n))
+    assert np.array_equal(statcore._betainc(a[lo:hi], b[lo:hi], x[lo:hi]), p[lo:hi])
+    assert np.array_equal(statcore._betainc(a[::-1], b[::-1], x[::-1]), p[::-1])
+    if n % 2 == 0:
+        shape = (2, n // 2)
+        assert np.array_equal(statcore._betainc(a.reshape(shape), b.reshape(shape),
+                                                x.reshape(shape)), p.reshape(shape))
+    # a 0-d shape parameter, as the F test and the pooled t test pass it
+    assert np.array_equal(statcore._betainc(a[k], b[k], x), statcore._betainc(
+        np.full(n, a[k]), np.full(n, b[k]), x))
+
+
+class TestInverseArguments:
+    @pytest.mark.parametrize("q", [-0.1, 1.2, np.nan])
+    def test_q_outside_unit_interval_rejected(self, q):
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            student_t_isf(q, 5)
+        with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+            f_isf(q, 2, 5)
+
+    def test_f_sf_statistic_message(self):
+        with pytest.raises(ValueError, match="must not be NaN and must be >= 0"):
+            f_sf(np.nan, 2, 5)
+        # +inf is allowed by design: its tail is 0
+        assert f_sf(np.inf, 2, 5) == 0.0
+
+    def test_f_sf_infinite_df_rejected(self):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            f_sf(1.0, np.inf, 5)
