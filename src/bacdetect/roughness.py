@@ -45,7 +45,8 @@ class QuantileGrid:
         pts = self.points = np.asarray(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 2:
             raise ValueError("grid needs at least 2 points")
-        if pts[0] < 0 or pts[-1] > 1 or np.any(np.diff(pts) <= 0):
+        # a NaN point fails every comparison, so the check asks what must hold
+        if not (pts[0] >= 0 and pts[-1] <= 1 and np.all(np.diff(pts) > 0)):
             raise ValueError("grid points must be strictly increasing within [0, 1]")
         if not (0 < self.tau < 0.5):
             raise ValueError("tau must lie in (0, 0.5)")

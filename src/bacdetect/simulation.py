@@ -39,8 +39,11 @@ class SimConfig:
     null_model: bool = False  # force delta to 0 for type I studies
 
     def __post_init__(self):
-        if min(self.sigma_f, self.theta, self.sigma_eps) <= 0:
-            raise ValueError("scale parameters must be positive")
+        for name in ("sigma_f", "theta", "sigma_eps"):
+            value = getattr(self, name)
+            # a NaN fails every comparison, so it fails this one too
+            if not 0 < value < np.inf:
+                raise ValueError(f"{name} must be finite and > 0, not {value!r}")
         if self.runs < 1:
             raise ValueError("need at least one run")
         if self.n_curves_per_group < 2:

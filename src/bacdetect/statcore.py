@@ -321,7 +321,7 @@ def _betaincinv(a, b, q):
         if flip[-1]:
             ak, bk, qk = bk, ak, 1.0 - qk
         terms.append((ak, bk, qk, math.lgamma(ak) + math.lgamma(bk) - math.lgamma(ak + bk)))
-    x = [_beta_start(*t) for t in terms]
+    x = [_beta_start(ak, bk, qk) for ak, bk, qk, _ in terms]
     # an x of 0 is final: the root is within an ulp of it
     todo = [k for k in range(len(x)) if x[k] > 0.0]
     for k in todo:
@@ -340,8 +340,6 @@ def _betaincinv(a, b, q):
                 left.append(k)
         todo = left
     return np.array([1.0 - xk if fk else xk for xk, fk in zip(x, flip)]).reshape(entries.shape)
-
-
 
 
 def _householder(a, b, q, lnbeta, x, tail):
@@ -363,67 +361,17 @@ def _householder(a, b, q, lnbeta, x, tail):
     return (0.5 * x if err > 0.0 else 0.5 * (x + 1.0)), math.inf
 
 
-def _beta_start(a, b, q, lnbeta):
-    """A starting point for ``_betaincinv`` at q <= 1/2, with ln B(a, b).
+def _beta_start(a, b, q):
+    """A starting point for ``_betaincinv`` at q <= 1/2.
 
-    Student's t by its own expansion, and otherwise the starting points of
-    Press et al. (*Numerical Recipes*, 3rd ed., 6.14).
+    The density taken as its power-law ends, x^(a-1) below a / (a + b) and
+    (1 - x)^(b-1) above it, normalized and inverted in closed form (Press et
+    al., *Numerical Recipes*, 3rd ed., 6.14).
     """
     if q <= 0.0:
         return 0.0
-    # Student's t, I_x(nu/2, 1/2) = 2 P(T >= t) with x = nu / (nu + t^2), and
-    # its flip: the Cornish-Fisher expansion of the t quantile in nu
-    # (Abramowitz & Stegun 26.7.5), within 1e-4 of x from nu = 4 on
-    if b == 0.5 and a >= 2.0:
-        t = _t_quantile(2.0 * a, 0.5 * q)
-        return 2.0 * a / (2.0 * a + t * t)
-    if a == 0.5 and b >= 2.0:
-        t = _t_quantile(2.0 * b, 0.5 - 0.5 * q)
-        return t * t / (2.0 * b + t * t)
-    # deep in the lower tail, I_x(a, b) = x^a / (a B(a, b)) to within about
-    # |b - 1| x / (a + 1) of itself
-    low = math.exp((math.log(q) + math.log(a) + lnbeta) / a)
-
-    if abs(b - 1.0) * low < 0.01 * (a + 1.0):
-        return low
-    if a >= 1.0 and b >= 1.0:
-        # a normal quantile, corrected for skew
-        t = math.sqrt(-2.0 * math.log(q))
-        z = t - (2.30753 + t * 0.27061) / (1.0 + t * (0.99229 + t * 0.04481))
-        al = (z * z - 3.0) / 6.0
-        h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
-        w = (z * math.sqrt(al + h) / h
-             - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0)) * (al + 5.0 / 6.0 - 2.0 / (3.0 * h)))
-        return a / (a + b * math.exp(min(2.0 * w, 700.0)))
-    # the two power-law ends of the integrand
     s = math.exp(a * math.log(a / (a + b))) / a
     u = math.exp(b * math.log(b / (a + b))) / b
     if q < s / (s + u):
         return (a * (s + u) * q) ** (1.0 / a)
     return 1.0 - (b * (s + u) * (1.0 - q)) ** (1.0 / b)
-
-
-def _t_quantile(nu, p):
-    """Approximately the t with P(T >= t) = p <= 1/2, on nu degrees of freedom."""
-    z = -_normal_quantile(p)
-    z2 = z * z
-    return z * (1.0 + (z2 + 1.0) / (4.0 * nu)
-                + ((5.0 * z2 + 16.0) * z2 + 3.0) / (96.0 * nu ** 2)
-                + (((3.0 * z2 + 19.0) * z2 + 17.0) * z2 - 15.0) / (384.0 * nu ** 3)
-                + ((((79.0 * z2 + 776.0) * z2 + 1482.0) * z2 - 1920.0) * z2 - 945.0) / (92160.0 * nu ** 4))
-
-
-def _normal_quantile(p):
-    """The z with P(Z <= z) = p, for 0 < p <= 1/2, to 1.2e-9 (Acklam's rational fit)."""
-    if p < 0.02425:
-        r = math.sqrt(-2.0 * math.log(p))
-        return ((((((-7.784894002430293e-03 * r - 3.223964580411365e-01) * r - 2.400758277161838e+00) * r
-                   - 2.549732539343734e+00) * r + 4.374664141464968e+00) * r + 2.938163982698783e+00)
-                / ((((7.784695709041462e-03 * r + 3.224671290700398e-01) * r + 2.445134137142996e+00) * r
-                    + 3.754408661907416e+00) * r + 1.0))
-    r = p - 0.5
-    s = r * r
-    return (((((-3.969683028665376e+01 * s + 2.209460984245205e+02) * s - 2.759285104469687e+02) * s
-              + 1.383577518672690e+02) * s - 3.066479806614716e+01) * s + 2.506628277459239e+00) * r / (
-        ((((-5.447609879822406e+01 * s + 1.615858368580409e+02) * s - 1.556989798598866e+02) * s
-          + 6.680131188771972e+01) * s - 1.328068155288572e+01) * s + 1.0)

@@ -399,7 +399,8 @@ class TestSimulate:
 
     def test_invalid_value_prints_nothing(self, capsys):
         for flags, word in ((["--tau", "0.6"], "tau"), (["--seed", "-5"], "seed"),
-                            (["--input-points", "1"], "input points")):
+                            (["--input-points", "1"], "input points"),
+                            (["--sigma-eps", "nan"], "sigma_eps")):
             assert main(["simulate", *flags, "--runs", "1"]) == EXIT_ERROR
             captured = capsys.readouterr()
             assert captured.out == ""

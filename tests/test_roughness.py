@@ -103,6 +103,9 @@ class TestQuantileGrid:
         with pytest.raises(ValueError):
             QuantileGrid(points=np.array([0.0, 1.2]))
         with pytest.raises(ValueError):
+            # a NaN fails every comparison of the range and increasing checks
+            QuantileGrid(points=np.array([0.0, np.nan, 0.9]))
+        with pytest.raises(ValueError):
             QuantileGrid(points=np.linspace(0, 1, 10), tau=0.6)
         with pytest.raises(ValueError):
             # never reaches the lower tail

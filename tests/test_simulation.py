@@ -147,6 +147,10 @@ class TestSampleGpGroups:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SimConfig(sigma_f=-1.0)
+        for name in ("sigma_f", "theta", "sigma_eps"):
+            for value in (np.nan, np.inf):
+                with pytest.raises(ValueError, match=f"{name} must be finite and > 0"):
+                    SimConfig(**{name: value})
         with pytest.raises(ValueError):
             SimConfig(runs=0)
         with pytest.raises(ValueError):

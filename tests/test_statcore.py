@@ -241,6 +241,44 @@ class TestPointwiseVarianceTest:
         assert np.array_equal(pvalue(...), [0.0, 0.5]) and np.all(deg)
 
 
+SCREEN_SHAPES = [(2, 2), (3, 9), (9, 9), (15, 10), (6, 15)]
+SCREEN_CUTS = np.concatenate([np.geomspace(1e-12, 0.5, 12), 1.0 - np.geomspace(1e-9, 0.4, 8)])
+
+
+def _check_screen(bounds, p_at, c, lowest=-np.inf):
+    """A statistic one step above hi has p <= c, one step below lo p > c."""
+    lo, hi = bounds(c)
+    if np.isfinite(hi):
+        assert p_at(np.nextafter(hi, np.inf)) <= c, (c, hi)
+    below = np.nextafter(lo, -np.inf)
+    if np.isfinite(lo) and below >= lowest:
+        assert p_at(below) > c, (c, lo)
+
+
+class TestScreenContract:
+    """``bounds(c)`` settles a statistic exactly as its computed p would."""
+
+    @pytest.mark.parametrize("j1, j2", SCREEN_SHAPES)
+    def test_pooled_mean(self, j1, j2):
+        bounds = mean_test(0.0, 1.0, j1, 0.0, 1.0, j2, "greater", pooled=True)[2]
+        for c in SCREEN_CUTS:
+            _check_screen(bounds, lambda t: student_t_sf(t, j1 + j2 - 2), c)
+
+    @pytest.mark.parametrize("j1, j2", SCREEN_SHAPES)
+    def test_welch_mean_at_both_df_ends_and_between(self, j1, j2):
+        bounds = mean_test(0.0, 1.0, j1, 0.0, 1.0, j2, "greater")[2]
+        # Welch's df lies between the smaller group's df and the pooled df
+        for df in np.linspace(min(j1, j2) - 1, j1 + j2 - 2, 5):
+            for c in SCREEN_CUTS:
+                _check_screen(bounds, lambda t: student_t_sf(t, df), c)
+
+    @pytest.mark.parametrize("j1, j2", SCREEN_SHAPES)
+    def test_variance(self, j1, j2):
+        bounds = variance_test(1.0, j1, 1.0, j2)[2]
+        for c in SCREEN_CUTS:
+            _check_screen(bounds, lambda f: f_sf(f, j1 - 1, j2 - 1), c, lowest=0.0)
+
+
 # The incomplete beta is checked against scipy's, which the runtime no longer
 # imports, over the (a, b, x) the engine reaches: a = df2 / 2 and b = df1 / 2
 # for the F test, b = 1/2 for the t test.
@@ -293,7 +331,8 @@ class TestIncompleteBeta:
             assert np.all(np.diff(statcore._betainc(a, b, x)) > 0), (a, b)
 
     def test_inverse_monotone_across_its_switches(self):
-        # q = 1/2 flips the tail solved, and the t start covers b = 1/2 from a = 2
+        # q = 1/2 flips the tail solved, and with it the (a, b) the start is
+        # taken at
         for a, b in [(4.0, 0.5), (0.5, 4.0), (1.9, 0.5), (2.0, 0.5), (4.5, 7.0), (0.7, 0.9)]:
             q = 0.5 + np.linspace(-1e-7, 1e-7, 201)
             assert np.all(np.diff(statcore._betaincinv(a, b, q)) > 0), (a, b)
