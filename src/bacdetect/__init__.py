@@ -1,6 +1,6 @@
 """Surface-quality change detection from bearing area curves."""
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .calibration import (
     CalibrationError,

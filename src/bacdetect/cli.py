@@ -13,6 +13,7 @@ import argparse
 import json
 import secrets
 import sys
+from math import comb
 from pathlib import Path
 
 import numpy as np
@@ -91,9 +92,8 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=0.1,
                    help="overall significance level (default: 0.1)")
     p.add_argument("--permutations", type=int, default=50_000, metavar="N",
-                   help="permutation count per family (default: 50000)")
-    p.add_argument("--exhaustive", action="store_true",
-                   help="enumerate all label assignments instead of sampling")
+                   help="relabelings per family at most; all C(J1+J2, J1) are "
+                        "enumerated when there are no more (default: 50000)")
     p.add_argument("--seed", type=_seed_type, default=DEFAULT_SEED,
                    help="integer seed, or 'random' (default: %(default)s)")
     g = p.add_mutually_exclusive_group()
@@ -217,8 +217,7 @@ def cmd_decide(args):
     grid = default_grid(m=args.grid_size, s_max=args.s_max, tau=args.tau)
     cfg = DecisionConfig(
         alpha=args.alpha,
-        perm=PermutationConfig(n_permutations=args.permutations,
-                               seed=args.seed, exhaustive=args.exhaustive),
+        perm=PermutationConfig(n_permutations=args.permutations, seed=args.seed),
         grid=grid,
         pooled=args.pooled,
         marginal_continues=args.marginal_continues,
@@ -231,6 +230,9 @@ def cmd_decide(args):
         _load_calibrated(args.prev_dir, skip=args.no_calibrate), grid)
     curr = build_stage_sample(
         _load_calibrated(args.curr_dir, skip=args.no_calibrate), grid)
+    # the exact test costs no more wherever every labeling fits the budget
+    j1 = len(prev.curves)
+    cfg.perm.exhaustive = comb(j1 + len(curr.curves), j1) <= args.permutations
     record = decide(prev, curr, cfg)
     save_report(record, out)
     print(_format_record(record))

@@ -36,7 +36,7 @@ np.empty(1 << 18)
 # the first column chunk of a block is this wide, and each next one twice as wide
 _CHUNK = 16
 
-# refuse exhaustive enumeration beyond this many label assignments
+# refuse to enumerate more label assignments than this or the sampled budget
 _MAX_EXHAUSTIVE = 500_000
 
 
@@ -304,7 +304,7 @@ def westfall_young(g1, g2, test, kind, cfg, domain=None):
     xd = np.vstack([x1, x2])[:, mask]
     j_total = j1 + j2
     n_used = comb(j_total, j1) if cfg.exhaustive else cfg.n_permutations
-    if cfg.exhaustive and n_used > _MAX_EXHAUSTIVE:
+    if cfg.exhaustive and n_used > max(_MAX_EXHAUSTIVE, cfg.n_permutations):
         raise ValueError(f"{n_used} label assignments is too many to enumerate")
 
     identity = _members(np.arange(j1)[None], j_total)

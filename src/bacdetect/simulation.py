@@ -24,6 +24,13 @@ _JITTER_START = 1e-10
 _JITTER_MAX = 1e-6
 
 
+def _check_scales(**scales):
+    for name, value in scales.items():
+        # a NaN fails every comparison, so it fails this one too
+        if not 0 < value < np.inf:
+            raise ValueError(f"{name} must be finite and > 0, not {value!r}")
+
+
 @dataclass
 class SimConfig:
     n_curves_per_group: int = 9
@@ -39,11 +46,7 @@ class SimConfig:
     null_model: bool = False  # force delta to 0 for type I studies
 
     def __post_init__(self):
-        for name in ("sigma_f", "theta", "sigma_eps"):
-            value = getattr(self, name)
-            # a NaN fails every comparison, so it fails this one too
-            if not 0 < value < np.inf:
-                raise ValueError(f"{name} must be finite and > 0, not {value!r}")
+        _check_scales(sigma_f=self.sigma_f, theta=self.theta, sigma_eps=self.sigma_eps)
         if self.runs < 1:
             raise ValueError("need at least one run")
         if self.n_curves_per_group < 2:
@@ -68,8 +71,7 @@ class SimResult:
 
 def se_kernel(x, x2, sigma_f, theta):
     """Squared exponential covariance sigma_f^2 * exp(-0.5 ((x-x')/theta)^2)."""
-    if theta <= 0:
-        raise ValueError("theta must be positive")
+    _check_scales(sigma_f=sigma_f, theta=theta)
     d = (np.asarray(x, dtype=float) - np.asarray(x2, dtype=float)) / theta
     return sigma_f**2 * np.exp(-0.5 * d * d)
 

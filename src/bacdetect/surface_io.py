@@ -66,10 +66,6 @@ class HeightMatrix:
         rows, cols = self.z.shape
         return np.arange(cols) * self.dx, np.arange(rows) * self.dy
 
-    def coordinates(self):
-        """Physical (X, Y) coordinate grids in micrometres."""
-        return np.meshgrid(*self.axes())
-
     def point_cloud(self):
         """Finite pixels as an (n, 3) array of (X, Y, z), row by row.
 

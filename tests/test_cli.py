@@ -11,10 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bacdetect import __version__, cli
+from bacdetect import __version__, cli, permutation
 from bacdetect.cli import (
     EXIT_DETECTED,
     EXIT_ERROR,
+    EXIT_MARGINAL,
     EXIT_NONE,
     build_parser,
     main,
@@ -66,6 +67,13 @@ class TestParser:
             main(["decide", str(tmp_path / "a"), str(tmp_path / "b"), "--flat"])
         assert exc.value.code == 2
         assert "--flat" in capsys.readouterr().err
+
+    def test_exhaustive_option_removed(self, tmp_path, capsys):
+        # decide enumerates on its own wherever every labeling fits --permutations
+        with pytest.raises(SystemExit) as exc:
+            main(["decide", str(tmp_path / "a"), str(tmp_path / "b"), "--exhaustive"])
+        assert exc.value.code == 2
+        assert "--exhaustive" in capsys.readouterr().err
 
     @pytest.mark.parametrize("argv", [
         ["decide", "p", "c", "--tau", "0.7"],
@@ -235,15 +243,45 @@ class TestDecide:
         # feeding one directory twice duplicates every curve; the 2^J
         # perfectly paired relabelings tie with the observed statistic, so
         # the corrected p can reach at most the marginal band, never the
-        # significant one, and the p equals that tie mass
+        # significant one, and the p equals that tie mass.  The default
+        # 50,000 permutations cover all C(14, 7) = 3,432 labelings, so the
+        # decide enumerates them
         d = write_stage_dir(tmp_path, "s1", rough_stage(rng, "s1", n_loc=7))
         out = tmp_path / "report.json"
         code = main(["decide", str(d), str(d), "--no-calibrate", "--grid-size",
-                     "120", "--exhaustive", "--out", str(out)])
+                     "120", "--out", str(out)])
         assert code != EXIT_DETECTED
         payload = json.loads(out.read_text())
+        assert payload["provenance"]["exhaustive"] is True
         tie_mass = 2**7 / 3432  # C(14, 7) relabelings, 2^7 perfect pairings
         assert payload["families"]["upper_tail"]["corrected_p"] >= tie_mass - 1e-6
+
+    def _decide_3_3(self, tmp_path, rng, permutations):
+        """A decide on 3 + 3 locations, whose C(6, 3) = 20 labelings it may enumerate."""
+        dirs = [str(write_stage_dir(tmp_path, s, rough_stage(rng, s, n_loc=3)))
+                for s in ("s1", "s2")]
+        out = tmp_path / "report.json"
+        code = main(["decide", *dirs, "--no-calibrate", "--grid-size", "40",
+                     "--permutations", str(permutations), "--out", str(out)])
+        assert code in (EXIT_DETECTED, EXIT_MARGINAL, EXIT_NONE)
+        return json.loads(out.read_text())
+
+    # 20 enumerates all C(6, 3) labelings; 19 samples and writes no key
+    @pytest.mark.parametrize("permutations, exhaustive", [(20, True), (19, False)])
+    def test_enumerates_exactly_when_every_labeling_fits_the_budget(
+            self, tmp_path, rng, permutations, exhaustive):
+        payload = self._decide_3_3(tmp_path, rng, permutations)
+        used = [f["n_permutations_used"] for f in payload["families"].values()]
+        assert used == [permutations] * 3
+        assert payload["provenance"].get("exhaustive", False) is exhaustive
+
+    def test_enumeration_within_the_budget_passes_the_engine_cap(
+            self, tmp_path, rng, monkeypatch):
+        # the engine refuses to enumerate past its cap only where sampling
+        # would draw fewer relabelings
+        monkeypatch.setattr(permutation, "_MAX_EXHAUSTIVE", 10)
+        payload = self._decide_3_3(tmp_path, rng, 20)
+        assert [f["n_permutations_used"] for f in payload["families"].values()] == [20] * 3
 
     def test_negative_seed_rejected_before_reading_a_stage(self, tmp_path, capsys):
         code = main(["decide", str(tmp_path / "gone"), str(tmp_path / "gone2"),

@@ -83,6 +83,13 @@ class TestKernel:
         with pytest.raises(ValueError):
             se_kernel(0.0, 1.0, 5.0, 0.0)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+    @pytest.mark.parametrize("name", ["sigma_f", "theta"])
+    def test_invalid_scale_named(self, name, value):
+        scales = {"sigma_f": 5.0, "theta": 0.2, name: value}
+        with pytest.raises(ValueError, match=name):
+            se_kernel(np.array([0.0, 0.5]), np.array([0.1, 0.2]), **scales)
+
 
 class TestPerturbation:
     def test_zero_crossings(self):

@@ -31,7 +31,7 @@ class TestHeightMatrix:
     def test_defaults_and_geometry(self):
         m = HeightMatrix(z=np.zeros((2, 3)))
         assert (m.dx, m.dy) == (DEFAULT_DX_UM, DEFAULT_DY_UM)
-        xx, yy = m.coordinates()
+        xx, yy = np.meshgrid(*m.axes())
         assert xx.shape == (2, 3)
         assert xx[0, 1] == pytest.approx(DEFAULT_DX_UM)
         assert yy[1, 0] == pytest.approx(DEFAULT_DY_UM)
@@ -41,7 +41,7 @@ class TestHeightMatrix:
         z = rng.standard_normal((5, 7))
         z[0, 0] = z[3, 4] = np.nan
         m = HeightMatrix(z=z, dx=0.3, dy=0.7)
-        xx, yy = m.coordinates()
+        xx, yy = np.meshgrid(*m.axes())
         mask = m.finite_mask()
         expected = np.column_stack([xx[mask], yy[mask], z[mask]])
         cloud = m.point_cloud()
