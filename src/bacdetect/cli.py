@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, statcore
-from .calibration import CalibrationError, calibrate_stage
+from .calibration import CalibrationError, calibrate_location, calibrate_stage
 from .decision import (
     OVERALL_DETECTED,
     OVERALL_MARGINAL,
@@ -27,9 +27,17 @@ from .decision import (
     decide,
 )
 from .permutation import PermutationConfig
-from .roughness import build_stage_sample, compute_sa, default_grid, median_sa
+from .roughness import (
+    StageSample,
+    build_stage_sample,  # noqa: F401  bench/spans.py wraps cli.build_stage_sample
+    compute_sa,
+    default_grid,
+    evaluate_on_grid,
+    extract_bac,
+    median_sa,
+)
 from .simulation import SimConfig, estimate_type2
-from .surface_io import SurfaceDataError, load_report, load_stage, save_report
+from .surface_io import SurfaceDataError, load_report, load_stage, open_stage, save_report
 
 DEFAULT_SEED = 17041
 
@@ -144,6 +152,21 @@ def _load_calibrated(path, skip=False):
     return calibrate_stage(rec)
 
 
+def _stage_sample(stage, grid, skip):
+    """A checked stage's curves, one location read and reduced at a time."""
+    curves = [_location_curve(stage, f, grid, skip) for f in stage.files]
+    return StageSample(curves=np.array(curves), grid=grid, stage_id=stage.stage_id)
+
+
+def _location_curve(stage, path, grid, skip):
+    """Read, calibrate, sort and grid-evaluate one location; its scan is
+    freed on return, before the next location is read."""
+    m = stage.read(path)
+    if not skip:
+        calibrate_location(m)
+    return evaluate_on_grid(extract_bac(m), grid)
+
+
 def _out_path(out, what):
     """``out`` as a Path, or None if not given; checked before any work."""
     if not out:
@@ -198,8 +221,7 @@ def cmd_bac(args):
         raise ValueError("confidence must lie in (0, 1)")
     grid = default_grid(m=args.grid_size, s_max=args.s_max, tau=args.tau)
     out = _out_path(args.out, "columns")
-    rec = _load_calibrated(args.stage_dir, skip=args.no_calibrate)
-    curves = build_stage_sample(rec, grid).curves
+    curves = _stage_sample(open_stage(args.stage_dir), grid, args.no_calibrate).curves
     mean = curves.mean(axis=0)
     var = curves.var(axis=0, ddof=1)
     j = curves.shape[0]
@@ -224,12 +246,12 @@ def cmd_decide(args):
         finest_tool=args.finest_tool,
     )
     out = _out_path(args.out or "report.json", "report")
-    # each stage is reduced to its curves before the next is read, so a
-    # decide holds one stage's scans at a time
-    prev = build_stage_sample(
-        _load_calibrated(args.prev_dir, skip=args.no_calibrate), grid)
-    curr = build_stage_sample(
-        _load_calibrated(args.curr_dir, skip=args.no_calibrate), grid)
+    # both stages are checked before any scan is read; then each location
+    # is reduced to its curve before the next is read, so a decide holds
+    # one scan at a time
+    prev, curr = open_stage(args.prev_dir), open_stage(args.curr_dir)
+    prev = _stage_sample(prev, grid, args.no_calibrate)
+    curr = _stage_sample(curr, grid, args.no_calibrate)
     # the exact test costs no more wherever every labeling fits the budget
     j1 = len(prev.curves)
     cfg.perm.exhaustive = comb(j1 + len(curr.curves), j1) <= args.permutations

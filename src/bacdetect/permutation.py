@@ -26,12 +26,14 @@ _DRAW_BLOCK = 512
 _TILE = 16_000
 # glibc's malloc hands the free top of its heap back to the system past a
 # trim threshold of 128 KiB, and serves blocks above that size from fresh
-# maps, so the engine's arrays, freed at every tile, page-fault back in on
-# the next one: 3,200 minor faults per decide_curves decide, 75 per
-# type2_sim replicate.  Freeing one block past the threshold raises it, and
-# the trim threshold with it, for the whole process (mallopt(3), "dynamic
-# mmap threshold"); elsewhere this allocation is a no-op.
-np.empty(1 << 18)
+# maps, so arrays freed and made again page-fault back in each time: the
+# engine's tile arrays (3,200 minor faults per decide_curves decide, 75 per
+# type2_sim replicate) and a shop-floor decide's per-location scans (56.6k
+# faults per raw_scans decide).  Freeing one block past the threshold raises
+# it, and the trim threshold with it, for the whole process (mallopt(3),
+# "dynamic mmap threshold"), so this 8 MiB block, larger than a 480×640
+# scan's arrays, keeps them on the heap; elsewhere this allocation is a no-op.
+np.empty(1 << 20)
 
 # the first column chunk of a block is this wide, and each next one twice as wide
 _CHUNK = 16

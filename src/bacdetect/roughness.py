@@ -117,10 +117,11 @@ def median_sa(record):
 
 def extract_bac(matrix):
     """Sort a location's pixel heights into its bearing area curve."""
-    z = matrix.finite_heights()
+    z = matrix.finite_heights()  # a fresh copy, so it is sorted in place
     if z.size < 2:
         raise ValueError("too few finite pixels for a bearing area curve")
-    return BearingAreaCurve(sorted_heights=np.sort(z)[::-1])
+    z.sort()
+    return BearingAreaCurve(sorted_heights=z[::-1])
 
 
 def evaluate_on_grid(bac, grid):

@@ -81,17 +81,39 @@ class HeightMatrix:
         return cloud.T
 
 
+def _check_count(stage_id, n):
+    if n < 2:
+        raise SurfaceDataError(
+            f"insufficient locations: stage {stage_id!r} has {n}, need at least 2")
+
+
 @dataclass
 class StageRecord:
     stage_id: str
     locations: list = field(default_factory=list)
 
     def __post_init__(self):
-        if len(self.locations) < 2:
-            raise SurfaceDataError(
-                f"insufficient locations: stage {self.stage_id!r} has "
-                f"{len(self.locations)}, need at least 2"
-            )
+        _check_count(self.stage_id, len(self.locations))
+
+
+@dataclass(frozen=True)
+class StageFiles:
+    """One stage's checked matrix files, none of them read yet.
+
+    ``files`` are ordered by stem, the location id; ``read`` reads one of
+    them, so a caller can reduce each location before it reads the next.
+    """
+
+    stage_id: str
+    files: tuple
+    dx: float = DEFAULT_DX_UM
+    dy: float = DEFAULT_DY_UM
+
+    def read(self, path):
+        """One location's cleaned height matrix."""
+        z, dropped = _clean(_read_matrix_file(path), path)
+        return HeightMatrix(z=z, dx=self.dx, dy=self.dy, location_id=path.stem,
+                            dropped_count=dropped)
 
 
 def _read_matrix_file(path):
@@ -140,8 +162,12 @@ def _manifest_pitch(manifest, key, default, manifest_path):
     return float(v)
 
 
-def load_stage(path):
-    """Load one stage of location matrices from a directory or manifest.
+def open_stage(path):
+    """Check one stage of location matrices, from a directory or manifest.
+
+    Every check that needs no matrix parsed runs here: the path, the
+    manifest, the label and pitch, one file per location, no missing file
+    and at least 2 locations.  No matrix file is read.
 
     Parameters
     ----------
@@ -152,9 +178,9 @@ def load_stage(path):
 
     Returns
     -------
-    StageRecord
+    StageFiles
         Named by the manifest's ``stage_label``, else by the directory;
-        locations ordered by location_id so ingestion order never matters.
+        files ordered by location_id so ingestion order never matters.
     """
     path = Path(path)
     if not path.exists():
@@ -203,14 +229,22 @@ def load_stage(path):
     for a, b in zip(files, files[1:]):
         if a.stem == b.stem:
             raise SurfaceDataError(f"{a} and {b} are both location {a.stem!r}")
-    locations = []
     for f in files:
         if not f.exists():
             raise SurfaceDataError(f"manifest names a missing file: {f}")
-        z, dropped = _clean(_read_matrix_file(f), f)
-        locations.append(HeightMatrix(z=z, dx=dx, dy=dy, location_id=f.stem,
-                                      dropped_count=dropped))
-    return StageRecord(stage_id=label, locations=locations)
+    _check_count(label, len(files))
+    return StageFiles(stage_id=label, files=tuple(files), dx=dx, dy=dy)
+
+
+def load_stage(path):
+    """Load one stage of location matrices from a directory or manifest.
+
+    ``open_stage`` checks the stage, then every file is read; the record
+    is named and ordered as ``open_stage`` says.
+    """
+    stage = open_stage(path)
+    return StageRecord(stage_id=stage.stage_id,
+                       locations=[stage.read(f) for f in stage.files])
 
 
 def save_report(record, path):

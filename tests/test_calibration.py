@@ -115,6 +115,33 @@ class TestChunkedFit:
             np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
 
 
+class TestMatrixFit:
+    """A ``HeightMatrix`` is fitted a block of rows at a time, from its axes."""
+
+    def test_agrees_with_its_point_cloud(self, rng):
+        scan, _ = _textured_scan(rng, 25_000.0)  # 480 x 640
+        step = calibration._CHUNK // scan.z.shape[1]  # rows per block
+        assert scan.z.shape[0] % step  # a short last block
+        scan.z[step + 3, 17] = scan.z[step + 9, 600] = np.nan  # the second block
+        scan.z[-1, 5] = np.nan  # the short last block
+        scan.z.flat[rng.choice(scan.z.size, 20, replace=False)] = np.nan
+        matrix, cloud = fit_sphere(scan), fit_sphere(scan.point_cloud())
+        # c and -c are one surface, and eig may return either; c is compared
+        # as a vector, as its entry e (about 2e-3 here) carries the absolute
+        # error of the whole solve, some ulps of the unit-sized bz
+        sign = np.sign(matrix.coef @ cloud.coef)
+        gap = np.linalg.norm(sign * matrix.coef - cloud.coef)
+        assert gap <= 1e-12 * np.linalg.norm(cloud.coef)
+        np.testing.assert_allclose(matrix.origin, cloud.origin, rtol=1e-12, atol=0)
+        assert matrix.scale == pytest.approx(cloud.scale, rel=1e-12, abs=0)
+        assert matrix.rms_residual == pytest.approx(cloud.rms_residual, rel=1e-12, abs=0)
+
+    def test_too_few_finite_pixels(self):
+        z = np.array([[1.0, 2.0, np.nan], [3.0, np.nan, np.nan]])
+        with pytest.raises(CalibrationError, match="at least 4"):
+            fit_sphere(HeightMatrix(z=z))
+
+
 class TestSubtractBaseline:
     def _cap(self, texture=None):
         return sphere_cap(40, 50, 0.359, 0.369, (9.0, 7.5, 100.0), RADIUS_UM,

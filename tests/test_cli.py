@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bacdetect import __version__, cli, permutation
+from bacdetect import __version__, cli, permutation, surface_io
 from bacdetect.cli import (
     EXIT_DETECTED,
     EXIT_ERROR,
@@ -84,7 +84,7 @@ class TestParser:
     ])
     def test_settings_checked_before_any_stage_is_read(self, monkeypatch, capsys, argv):
         calls = []
-        monkeypatch.setattr(cli, "load_stage", calls.append)
+        monkeypatch.setattr(cli, "open_stage", calls.append)
         assert main(argv) == EXIT_ERROR
         assert calls == []
         assert capsys.readouterr().out == ""
@@ -100,7 +100,7 @@ class TestParser:
     def test_unwritable_output_rejected_before_any_stage_is_read(
             self, tmp_path, monkeypatch, capsys, argv, name, reason):
         calls = []
-        monkeypatch.setattr(cli, "load_stage", calls.append)
+        monkeypatch.setattr(cli, "open_stage", calls.append)
         out = tmp_path / name
         assert main([*argv, "--out", str(out)]) == EXIT_ERROR
         assert calls == []
@@ -295,7 +295,7 @@ class TestDecide:
             self, tmp_path, monkeypatch, capsys):
         def unread(path):
             raise AssertionError(f"stage {path} was read")
-        monkeypatch.setattr(cli, "load_stage", unread)
+        monkeypatch.setattr(cli, "open_stage", unread)
         out = tmp_path / "missing_dir" / "r.json"
         code = main(["decide", "p", "c", "--out", str(out)])
         assert code == EXIT_ERROR
@@ -303,6 +303,32 @@ class TestDecide:
         assert captured.out == ""
         assert f"cannot write report to {out}" in captured.err
         assert not out.parent.exists()
+
+    @pytest.mark.parametrize("broken", ["prev", "curr"])
+    @pytest.mark.parametrize("fault", ["missing last file", "one location"])
+    def test_stage_checks_run_before_any_scan_is_parsed(
+            self, tmp_path, rng, monkeypatch, capsys, broken, fault):
+        dirs = dict(zip(("prev", "curr"), _improved_pair(tmp_path, rng)))
+        d = dirs[broken]
+        names = sorted(f.name for f in d.iterdir())
+        if fault == "one location":
+            for name in names[1:]:
+                (d / name).unlink()
+            names = names[:1]
+            named = f"stage {d.name!r} has 1"
+        else:
+            names.append("loc99.csv")
+            named = str(d / "loc99.csv")
+        (d / "manifest.json").write_text(json.dumps({"files": names}))
+        parsed = []
+        read = surface_io._read_matrix_file
+        monkeypatch.setattr(surface_io, "_read_matrix_file",
+                            lambda path: parsed.append(path) or read(path))
+        code = main(["decide", str(dirs["prev"]), str(dirs["curr"]), *DECIDE_FLAGS,
+                     "--out", str(tmp_path / "r.json")])
+        assert code == EXIT_ERROR
+        assert named in capsys.readouterr().err
+        assert parsed == []
 
     def test_missing_directory_errors(self, tmp_path):
         code = main(["decide", str(tmp_path / "gone"), str(tmp_path / "gone2"),

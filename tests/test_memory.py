@@ -1,10 +1,9 @@
-"""Memory guard: a shop-floor ``decide`` holds one stage's scans, each once.
+"""Memory guard: a shop-floor ``decide`` holds one scan at a time.
 
-Each stage is reduced to its curves before the next is read, calibration
-overwrites the heights it fitted, and the form fit sums in fixed-size
-chunks.  So the traced peak of ``decide`` on raw scans grows by about one
-scan per location of the larger stage, not three scans per location of
-both stages.
+Each location is read, calibrated, sorted and reduced to its curve before
+the next is read; calibration overwrites the heights it fitted, and the
+form fit sums over blocks of rows.  So the traced peak of ``decide`` on raw
+scans is a few scans, whatever the number of locations.
 """
 
 import contextlib
@@ -51,13 +50,22 @@ def _peak_scans(tmp_path, j):
 @pytest.fixture(scope="module")
 def peaks(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("memory")
-    return {j: _peak_scans(tmp, j) for j in (6, 10)}
+    return {j: _peak_scans(tmp, j) for j in (6, 10, 16)}
 
 
-@pytest.mark.parametrize("j", [6, 10])
+@pytest.mark.parametrize("j", [6, 10, 16])
 def test_decide_peak_is_one_stage_of_scans(peaks, j):
     assert peaks[j] <= j + 8, peaks
 
 
 def test_decide_peak_grows_by_one_scan_per_location(peaks):
     assert peaks[10] - peaks[6] <= 6, peaks
+
+
+@pytest.mark.parametrize("j", [6, 10, 16])
+def test_decide_peak_is_a_few_scans(peaks, j):
+    assert peaks[j] <= 8, peaks
+
+
+def test_decide_peak_does_not_grow_with_locations(peaks):
+    assert peaks[16] - peaks[6] <= 1, peaks
