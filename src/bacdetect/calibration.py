@@ -7,6 +7,13 @@ Pratt's algebraic hypersphere a|q|^2 + b.q + e = 0, |b|^2 - 4ae = 1
 by its RMS radius.  A plane is the a -> 0 limit, so one fit covers both
 geometries, and it avoids the Kasa fit's bias on shallow, rough caps
 (Al-Sharadqah & Chernov 2009, Electron. J. Stat. 3).
+
+A scan is a grid: X depends only on the column and Y only on the row.
+So the fit of a height matrix reads its moments off the sums S[k, a, b]
+of uz^k ux^a uy^b over the finite pixels, k + a + b <= 4, which the two
+axes' Vandermonde matrices contract from one power of uz at a time; no
+pixel is copied into a point.  The same sums hold every moment of degree
+4 or less that a general quadric fit would need.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from .surface_io import HeightMatrix
 _PRATT = np.array([[0.0, 0, 0, 0, -2], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
                    [0, 0, 0, 1, 0], [-2, 0, 0, 0, 0]])
 _PENCIL_TOL = 1e-12  # a second exact solution: a pencil of surfaces fits
-_CHUNK = 16_384  # points (or pixels of whole rows) per block of fit_sphere's sums
+_CHUNK = 16_384  # points per block of a cloud's sums in fit_sphere
 
 
 class CalibrationError(Exception):
@@ -55,28 +62,25 @@ def fit_sphere(points):
     """Pratt's sphere-or-plane fit through a scan's points, in µm.
 
     ``points`` is an (n, 3) array of (X, Y, z) points, or a
-    ``HeightMatrix``, whose finite pixels are read from its axes and
-    heights a block of rows at a time.  Solves M c = eta N c (M the
-    moments of the rows (|q|^2, qx, qy, qz, 1), N Pratt's constraint) for
-    the smallest eta >= 0 with c'Nc > 0; closed form, no iteration.  The
-    residual is the geometric distance 2F / (1 + sqrt(1 + 4aF)), F the
-    algebraic residual.  Coplanar points fit a plane; fewer than 4,
-    identical, collinear or cocircular points raise.
+    ``HeightMatrix``, whose finite pixels are fitted from sums over its
+    grid.  Solves M c = eta N c (M the moments of the rows (|q|^2, qx, qy,
+    qz, 1), N Pratt's constraint) for the smallest eta >= 0 with
+    c'Nc > 0; closed form, no iteration.  The residual is the geometric
+    distance 2F / (1 + sqrt(1 + 4aF)), F the algebraic residual.  Coplanar
+    points fit a plane; fewer than 4, identical, collinear or cocircular
+    points raise.
 
-    The sums run over blocks of about ``_CHUNK`` points, formed in one
-    reused (5, block) buffer, so the fit copies no whole scan; a cloud of
-    at most ``_CHUNK`` points is one block.
+    A cloud is summed over blocks of about ``_CHUNK`` points, formed in
+    one reused (5, block) buffer; a cloud of at most ``_CHUNK`` points is
+    one block.  A matrix is summed in two scan-sized buffers.  Neither
+    copies the scan as points.
     """
     if isinstance(points, HeightMatrix):
-        n, blocks = _matrix_blocks(points)
-    else:
-        pts = np.asarray(points, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise CalibrationError("need at least 4 (X, Y, z) points")
-        n, blocks = _cloud_blocks(pts)
-    if n < 4:
+        return _grid_fit(points)
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 4:
         raise CalibrationError("need at least 4 (X, Y, z) points")
-    return _pratt(n, blocks)
+    return _pratt(len(pts), _cloud_blocks(pts))
 
 
 def _cloud_blocks(pts):
@@ -88,46 +92,20 @@ def _cloud_blocks(pts):
         for start in range(0, n, _CHUNK):
             d = design[:, :min(_CHUNK, n - start)]
             d[1:4] = pts[start:start + _CHUNK].T
-            yield _centered(d, origin)
+            if origin is not None:  # rows (|u|^2, ux, uy, uz, 1) of u = p - origin
+                d[1:4] -= origin[:, None]
+                np.einsum("in,in->n", d[1:4], d[1:4], out=d[0])
+                d[4] = 1.0
+            yield d
 
-    return n, blocks
-
-
-def _matrix_blocks(m):
-    """The finite pixels of about ``_CHUNK`` pixels of rows at a time."""
-    x, y = m.axes()
-    rows, cols = m.z.shape
-    step = max(1, _CHUNK // cols)
-    design = np.empty((5, min(step, rows) * cols))
-
-    def blocks(origin=None):
-        for start in range(0, rows, step):
-            z = m.z[start:start + step]
-            finite = np.isfinite(z)
-            d = design[:, :np.count_nonzero(finite)]
-            d[1] = np.broadcast_to(x, z.shape)[finite]
-            d[2] = np.broadcast_to(y[start:start + step, None], z.shape)[finite]
-            d[3] = z[finite]
-            yield _centered(d, origin)
-
-    return int(np.count_nonzero(np.isfinite(m.z))), blocks
-
-
-def _centered(d, origin):
-    """Design rows (|u|^2, ux, uy, uz, 1) of u = p - origin, in place."""
-    if origin is not None:
-        d[1:4] -= origin[:, None]
-        np.einsum("in,in->n", d[1:4], d[1:4], out=d[0])
-        d[4] = 1.0
-    return d
+    return blocks
 
 
 def _pratt(n, blocks):
-    """Pratt's fit from the n points that ``blocks(origin)`` yields.
+    """Pratt's fit of an (n, 3) cloud, whose points ``blocks(origin)`` yields.
 
-    Three passes: the origin, the moments M_u of the centered rows, and
-    the residual.  With s^2 = mean |u|^2 the scaled rows are D d_u,
-    D = diag(1/s^2, 1/s, 1/s, 1/s, 1), so M_q = D M_u D.  ``einsum``
+    Three passes over the blocks: the origin, the moments M_u of the
+    centered rows, which ``_solve`` solves, and the residual.  ``einsum``
     forms the sums and no BLAS call runs over a whole scan: whole-scan
     ``dot`` / ``gemv`` cut the fit from 13 to 11 ms on a 480×640 scan,
     but at two BLAS threads on a 2-core Xeon a shop-floor ``decide`` then
@@ -136,12 +114,86 @@ def _pratt(n, blocks):
     """
     origin = sum(d[1:4].sum(axis=1) for d in blocks()) / n
     moments = sum(np.einsum("in,jn->ij", d, d) for d in blocks(origin)) / n
+    scale, coef, coef_u = _solve(moments)
+    sq = 0.0
+    for d in blocks(origin):
+        f = np.einsum("j,jn->n", coef_u, d)
+        dist = _distance(f, coef[0], np.empty_like(f))
+        sq += np.einsum("n,n->", dist, dist)
+    rms = scale * float(np.sqrt(sq / n))
+    return SphereFit(origin=origin, scale=scale, coef=coef, rms_residual=rms)
+
+
+# the rows (|u|^2, ux, uy, uz, 1) as monomials uz^k ux^a uy^b, (k, a, b)
+_ROWS = (((2, 0, 0), (0, 2, 0), (0, 0, 2)), ((0, 1, 0),), ((0, 0, 1),),
+         ((1, 0, 0),), ((0, 0, 0),))
+
+
+def _grid_fit(m):
+    """Pratt's fit of a matrix's finite pixels from sums over its grid.
+
+    ux depends only on the column and uy only on the row, so each moment
+    of the rows (|u|^2, ux, uy, uz, 1) is a sum of S[k, a, b], the sum of
+    uz^k ux^a uy^b over the finite pixels, k + a + b <= 4.  uz is formed
+    once.  One buffer, 1 on the finite pixels and 0 on the NaN ones, takes
+    uz^0 to uz^4 in turn, and each power is contracted first with the
+    rows' and then with the columns' Vandermonde matrix.  The residual
+    pass reuses both buffers: F = uz (c0 uz + c3) + G_y[row] + G_x[col].
+    ``einsum`` makes the scan-sized contractions, so no BLAS call runs
+    over a whole scan (see ``_pratt``).
+    """
+    holes = np.flatnonzero(~np.isfinite(m.z))  # flat indices of NaN pixels
+    n = m.z.size - holes.size
+    if n < 4:
+        raise CalibrationError("need at least 4 (X, Y, z) points")
+    rows, cols = m.z.shape
+    x, y = m.axes()
+    per_col = rows - np.bincount(holes % cols, minlength=cols)
+    per_row = cols - np.bincount(holes // cols, minlength=rows)
+    uz = m.z.copy()
+    uz.flat[holes] = 0.0
+    origin = np.array([np.einsum("c,c->", per_col, x) / n,
+                       np.einsum("r,r->", per_row, y) / n, uz.sum() / n])
+    uz -= origin[2]
+    ux, uy = x - origin[0], y - origin[1]
+    vx, vy = np.vander(ux, 5, increasing=True), np.vander(uy, 5, increasing=True)
+    sums = np.zeros((5, 5, 5))  # S[k, a, b]
+    power = np.ones_like(uz)  # uz^k on the finite pixels, 0 on the NaN ones
+    power.flat[holes] = 0.0
+    for k in range(5):
+        if k:
+            power *= uz
+        t = np.einsum("rb,rc->bc", vy[:, :5 - k], power)
+        sums[k, :5 - k, :5 - k] = (t @ vx[:, :5 - k]).T
+    moments = np.array([[sum(sums[k + k2, a + a2, b + b2]
+                             for k, a, b in row for k2, a2, b2 in col)
+                         for col in _ROWS] for row in _ROWS]) / n
+    scale, coef, (c0, c1, c2, c3, c4) = _solve(moments)
+    f = np.multiply(uz, c0, out=power)
+    f += c3
+    f *= uz
+    f += ((c0 * uy + c2) * uy + c4)[:, None]
+    f += (c0 * ux + c1) * ux
+    dist = _distance(f, coef[0], uz)
+    dist.flat[holes] = 0.0
+    rms = scale * float(np.sqrt(np.einsum("ij,ij->", dist, dist) / n))
+    return SphereFit(origin=origin, scale=scale, coef=coef, rms_residual=rms)
+
+
+def _solve(moments):
+    """Pratt's coefficients from the mean moments M_u of centered rows.
+
+    M_u holds the means of the products of the rows (|u|^2, ux, uy, uz,
+    1), u = p - origin.  With s^2 = mean |u|^2 the scaled rows are D d_u,
+    D = diag(1/s^2, 1/s, 1/s, 1/s, 1), so M_q = D M_u D.  Returns s, the
+    coefficients c in q with |b|^2 - 4ae = 1, and c D, which gives the
+    algebraic residual on the centered rows.
+    """
     scale = float(np.sqrt(moments[0, 4]))
     if scale == 0:
         raise CalibrationError("degenerate point configuration (identical points)")
     dd = np.array([scale ** -2, 1 / scale, 1 / scale, 1 / scale, 1.0])
-    moments *= dd[:, None] * dd
-    eta, vecs = np.linalg.eig(np.linalg.solve(_PRATT, moments))
+    eta, vecs = np.linalg.eig(np.linalg.solve(_PRATT, moments * (dd[:, None] * dd)))
     eta, vecs = eta.real, vecs.real
     norms = np.einsum("ik,ij,jk->k", vecs, _PRATT, vecs)
     admissible = np.flatnonzero(norms > 0)
@@ -150,14 +202,23 @@ def _pratt(n, blocks):
         raise CalibrationError(
             "degenerate point configuration (collinear or cocircular)")
     coef = vecs[:, best] / np.sqrt(norms[best])
-    coef_u = coef * dd  # the algebraic residual on the centered rows
-    sq = 0.0
-    for d in blocks(origin):
-        f = np.einsum("j,jn->n", coef_u, d)
-        dist = 2.0 * f / (1.0 + np.sqrt(np.maximum(1.0 + 4.0 * coef[0] * f, 0.0)))
-        sq += np.einsum("n,n->", dist, dist)
-    rms = scale * float(np.sqrt(sq / n))
-    return SphereFit(origin=origin, scale=scale, coef=coef, rms_residual=rms)
+    return scale, coef, coef * dd
+
+
+def _distance(f, a, den):
+    """Geometric distances 2F / (1 + sqrt(1 + 4aF)) of algebraic residuals F.
+
+    They are formed in ``f``'s buffer, with ``den`` (f's shape) for the
+    denominator.
+    """
+    np.multiply(f, 4.0 * a, out=den)
+    den += 1.0
+    np.maximum(den, 0.0, out=den)
+    np.sqrt(den, out=den)
+    den += 1.0
+    f *= 2.0
+    f /= den
+    return f
 
 
 def subtract_baseline(matrix, fit):
@@ -176,7 +237,8 @@ def subtract_baseline(matrix, fit):
     qx = (x - ox) / fit.scale
     qy = (y - oy) / fit.scale
     g = ((a * qy + by) * qy + e)[:, None] + (a * qx + bx) * qx
-    radicand = bz * bz - 4.0 * a * g
+    radicand = np.multiply(g, 4.0 * a)
+    np.subtract(bz * bz, radicand, out=radicand)
     low = radicand.min()
     if low < 0:
         w, v = np.argwhere(radicand < 0)[0]

@@ -20,7 +20,7 @@ class BearingAreaCurve:
         h = np.asarray(self.sorted_heights, dtype=float)
         if h.size < 2:
             raise ValueError("a bearing area curve needs at least 2 heights")
-        if np.any(np.diff(h) > 0):
+        if np.any(h[1:] > h[:-1]):
             raise ValueError("heights must be sorted in descending order")
         self.sorted_heights = h
 
@@ -129,11 +129,20 @@ def evaluate_on_grid(bac, grid):
 
     Linear interpolation between descending order statistics: quantile
     s maps to fractional index s*(n-1), so s=0 is the highest peak and
-    s=1 the deepest valley.
+    s=1 the deepest valley.  Only the two order statistics around each
+    grid point are read, and the arithmetic is ``np.interp``'s on the
+    index axis: h[j] where the fraction is 0, the last height from index
+    n-1 on, and (h[j+1] - h[j]) * (s(n-1) - j) + h[j] between.
     """
     h = bac.sorted_heights
     n = h.size
-    return np.interp(grid.points * (n - 1), np.arange(n), h)
+    at = grid.points * (n - 1)
+    j = np.minimum(at.astype(np.intp), n - 2)
+    frac = at - j
+    low = h[j]
+    out = np.where(frac == 0, low, (h[j + 1] - low) * frac + low)
+    out[at >= n - 1] = h[-1]
+    return out
 
 
 def build_stage_sample(record, grid):

@@ -115,26 +115,61 @@ class TestChunkedFit:
             np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
 
 
+def _assert_same_surface(matrix, cloud):
+    """The matrix fit's origin, scale and coefficients are the cloud fit's."""
+    # c and -c are one surface, and eig may return either; c is compared
+    # as a vector, as its entry e (about 2e-3 on a shallow cap) carries the
+    # absolute error of the whole solve, some ulps of the unit-sized bz
+    sign = np.sign(matrix.coef @ cloud.coef)
+    gap = np.linalg.norm(sign * matrix.coef - cloud.coef)
+    assert gap <= 1e-12 * np.linalg.norm(cloud.coef)
+    np.testing.assert_allclose(matrix.origin, cloud.origin, rtol=1e-12, atol=0)
+    assert matrix.scale == pytest.approx(cloud.scale, rel=1e-12, abs=0)
+
+
 class TestMatrixFit:
-    """A ``HeightMatrix`` is fitted a block of rows at a time, from its axes."""
+    """A ``HeightMatrix`` is fitted from sums over its pixel grid."""
 
     def test_agrees_with_its_point_cloud(self, rng):
         scan, _ = _textured_scan(rng, 25_000.0)  # 480 x 640
-        step = calibration._CHUNK // scan.z.shape[1]  # rows per block
-        assert scan.z.shape[0] % step  # a short last block
-        scan.z[step + 3, 17] = scan.z[step + 9, 600] = np.nan  # the second block
-        scan.z[-1, 5] = np.nan  # the short last block
+        scan.z[28, 17] = scan.z[34, 600] = scan.z[-1, 5] = np.nan
         scan.z.flat[rng.choice(scan.z.size, 20, replace=False)] = np.nan
         matrix, cloud = fit_sphere(scan), fit_sphere(scan.point_cloud())
-        # c and -c are one surface, and eig may return either; c is compared
-        # as a vector, as its entry e (about 2e-3 here) carries the absolute
-        # error of the whole solve, some ulps of the unit-sized bz
-        sign = np.sign(matrix.coef @ cloud.coef)
-        gap = np.linalg.norm(sign * matrix.coef - cloud.coef)
-        assert gap <= 1e-12 * np.linalg.norm(cloud.coef)
-        np.testing.assert_allclose(matrix.origin, cloud.origin, rtol=1e-12, atol=0)
-        assert matrix.scale == pytest.approx(cloud.scale, rel=1e-12, abs=0)
+        _assert_same_surface(matrix, cloud)
         assert matrix.rms_residual == pytest.approx(cloud.rms_residual, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("case", ["nan_at_edges", "nan_row", "no_nan",
+                                      "tilted_flat", "from_below", "offset"])
+    def test_agrees_with_its_point_cloud_on(self, rng, case):
+        scan, _ = _textured_scan(rng, np.inf if case == "tilted_flat" else RADIUS_UM)
+        z = scan.z
+        if case == "nan_at_edges":  # first and last row and column, corners
+            z[0, 7] = z[-1, 100] = z[40, 0] = z[77, -1] = z[0, 0] = z[-1, -1] = np.nan
+        elif case == "nan_row":
+            z[50] = np.nan
+        elif case == "from_below":
+            z *= -1.0
+        elif case == "offset":
+            z += 1e5
+        matrix, cloud = fit_sphere(scan), fit_sphere(scan.point_cloud())
+        _assert_same_surface(matrix, cloud)
+        assert matrix.rms_residual == pytest.approx(cloud.rms_residual, rel=1e-12, abs=0)
+        if case == "tilted_flat":
+            assert matrix.radius > 1e6
+
+    def test_two_by_two(self):
+        # four pixels lie on one sphere, so both residuals are rounding noise
+        scan = HeightMatrix(z=np.array([[0.0, 0.3], [0.2, 0.7]]), dx=1.0, dy=1.0)
+        matrix, cloud = fit_sphere(scan), fit_sphere(scan.point_cloud())
+        _assert_same_surface(matrix, cloud)
+        assert max(matrix.rms_residual, cloud.rms_residual) <= 1e-12 * cloud.scale
+
+    def test_one_row_is_vertical(self, rng):
+        row = HeightMatrix(z=rng.standard_normal((1, 30)), dx=DX_UM, dy=DY_UM)
+        fit = fit_sphere(row)
+        assert fit.coef[3] == 0.0
+        with pytest.raises(CalibrationError, match="no height"):
+            subtract_baseline(row, fit)
 
     def test_too_few_finite_pixels(self):
         z = np.array([[1.0, 2.0, np.nan], [3.0, np.nan, np.nan]])
@@ -263,7 +298,8 @@ class TestCalibrateStage:
             m.location_id, m.dropped_count = f"loc{i}", i
         rec = StageRecord(stage_id="s", locations=list(locs))
         raw = [m.z for m in locs]
-        expected = [subtract_baseline(m, fit_sphere(m.point_cloud())).z for m in locs]
+        copies = [replace(m, z=m.z.copy()) for m in locs]
+        expected = [subtract_baseline(c, fit_sphere(c)).z for c in copies]
         out = calibrate_stage(rec)
         assert out is rec
         assert all(a is b for a, b in zip(out.locations, locs))

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bacdetect.roughness import (
     BearingAreaCurve,
@@ -116,7 +118,34 @@ class TestQuantileGrid:
             default_grid(s_max=0.0)
 
 
+@st.composite
+def _curves_and_grids(draw):
+    """A descending curve, with ties and offsets, and an equally spaced grid."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.standard_normal(draw(st.integers(2, 60)))
+    h *= draw(st.sampled_from([1e-3, 1.0, 100.0]))
+    decimals = draw(st.sampled_from([None, 0, 1]))
+    if decimals is not None:  # ties, -0.0 among them
+        h = np.round(h, decimals)
+    offset = draw(st.sampled_from([0.0, 1e5, -1e5]))
+    if offset:
+        h += offset
+    s_max = draw(st.sampled_from([1.0, 0.998]) | st.floats(0.6, 1.0))
+    points = np.linspace(0.0, s_max, draw(st.integers(2, 80)))
+    return np.sort(h)[::-1], QuantileGrid(points=points, tau=0.45)
+
+
 class TestEvaluateOnGrid:
+    @settings(max_examples=500, deadline=None)
+    @given(case=_curves_and_grids())
+    def test_matches_interp_bit_for_bit(self, case):
+        # evaluate_on_grid reads only the order statistics around each
+        # grid point; np.interp over the whole curve is the reference
+        h, grid = case
+        out = evaluate_on_grid(BearingAreaCurve(sorted_heights=h), grid)
+        expected = np.interp(grid.points * (h.size - 1), np.arange(h.size), h)
+        assert out.tobytes() == expected.tobytes()
+
     def test_two_point_interpolation(self):
         bac = BearingAreaCurve(sorted_heights=[10.0, 0.0])
         grid = QuantileGrid(points=np.array([0.0, 0.5, 1.0]))
