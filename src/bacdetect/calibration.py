@@ -13,7 +13,8 @@ So the fit of a height matrix reads its moments off the sums S[k, a, b]
 of uz^k ux^a uy^b over the finite pixels, k + a + b <= 4, which the two
 axes' Vandermonde matrices contract from one power of uz at a time; no
 pixel is copied into a point.  The same sums hold every moment of degree
-4 or less that a general quadric fit would need.
+4 or less that a general quadric fit would need.  An (n, 3) point cloud
+is fitted in one pass over its design rows.
 """
 
 from __future__ import annotations
@@ -28,7 +29,6 @@ from .surface_io import HeightMatrix
 _PRATT = np.array([[0.0, 0, 0, 0, -2], [0, 1, 0, 0, 0], [0, 0, 1, 0, 0],
                    [0, 0, 0, 1, 0], [-2, 0, 0, 0, 0]])
 _PENCIL_TOL = 1e-12  # a second exact solution: a pencil of surfaces fits
-_CHUNK = 16_384  # points per block of a cloud's sums in fit_sphere
 
 
 class CalibrationError(Exception):
@@ -52,7 +52,11 @@ class SphereFit:
 
     @property
     def center(self):
-        """Sphere center (Xc, Yc, zc) in micrometres; infinite for a plane."""
+        """Sphere center (Xc, Yc, zc) in micrometres.
+
+        For a plane (a = 0) a component is +-inf where b is nonzero and nan
+        where it is 0, so an exactly level plane gives (nan, nan, +-inf).
+        """
         with np.errstate(divide="ignore", invalid="ignore"):
             offset = self.coef[1:4] / (-2.0 * self.coef[0])
         return tuple(self.origin + self.scale * offset)
@@ -61,66 +65,39 @@ class SphereFit:
 def fit_sphere(points):
     """Pratt's sphere-or-plane fit through a scan's points, in µm.
 
-    ``points`` is an (n, 3) array of (X, Y, z) points, or a
-    ``HeightMatrix``, whose finite pixels are fitted from sums over its
-    grid.  Solves M c = eta N c (M the moments of the rows (|q|^2, qx, qy,
-    qz, 1), N Pratt's constraint) for the smallest eta >= 0 with
-    c'Nc > 0; closed form, no iteration.  The residual is the geometric
-    distance 2F / (1 + sqrt(1 + 4aF)), F the algebraic residual.  Coplanar
-    points fit a plane; fewer than 4, identical, collinear or cocircular
-    points raise.
-
-    A cloud is summed over blocks of about ``_CHUNK`` points, formed in
-    one reused (5, block) buffer; a cloud of at most ``_CHUNK`` points is
-    one block.  A matrix is summed in two scan-sized buffers.  Neither
-    copies the scan as points.
+    ``points`` is an (n, 3) array of (X, Y, z) points, fitted in one pass
+    over its design rows, or a ``HeightMatrix``, whose finite pixels are
+    fitted from sums over its grid and never copied as points.  Solves
+    M c = eta N c (M the moments of the rows (|q|^2, qx, qy, qz, 1), N
+    Pratt's constraint) for the smallest eta >= 0 with c'Nc > 0; closed
+    form, no iteration.  The residual is the geometric distance
+    2F / (1 + sqrt(1 + 4aF)), F the algebraic residual.  Coplanar points
+    fit a plane; fewer than 4, identical, collinear or cocircular points
+    raise, and so does a cloud of another shape or with a non-finite
+    coordinate.
     """
     if isinstance(points, HeightMatrix):
         return _grid_fit(points)
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[1] != 3 or len(pts) < 4:
-        raise CalibrationError("need at least 4 (X, Y, z) points")
-    return _pratt(len(pts), _cloud_blocks(pts))
-
-
-def _cloud_blocks(pts):
-    """``_CHUNK`` points at a time of an (n, 3) cloud."""
+    if pts.ndim != 2 or pts.shape[1] != 3:
+        raise CalibrationError(
+            f"need an (n, 3) array of (X, Y, z) points, got shape {pts.shape}")
+    bad = np.flatnonzero(~np.isfinite(pts).all(axis=1))
+    if bad.size:
+        raise CalibrationError(
+            f"row {bad[0]} of the points is not finite: {pts[bad[0]]}")
     n = len(pts)
-    design = np.empty((5, min(_CHUNK, n)))
-
-    def blocks(origin=None):
-        for start in range(0, n, _CHUNK):
-            d = design[:, :min(_CHUNK, n - start)]
-            d[1:4] = pts[start:start + _CHUNK].T
-            if origin is not None:  # rows (|u|^2, ux, uy, uz, 1) of u = p - origin
-                d[1:4] -= origin[:, None]
-                np.einsum("in,in->n", d[1:4], d[1:4], out=d[0])
-                d[4] = 1.0
-            yield d
-
-    return blocks
-
-
-def _pratt(n, blocks):
-    """Pratt's fit of an (n, 3) cloud, whose points ``blocks(origin)`` yields.
-
-    Three passes over the blocks: the origin, the moments M_u of the
-    centered rows, which ``_solve`` solves, and the residual.  ``einsum``
-    forms the sums and no BLAS call runs over a whole scan: whole-scan
-    ``dot`` / ``gemv`` cut the fit from 13 to 11 ms on a 480×640 scan,
-    but at two BLAS threads on a 2-core Xeon a shop-floor ``decide`` then
-    took 1.36 to 1.58 s of CPU where it had taken 0.79 to 0.85 s, with no
-    gain in wall time.
-    """
-    origin = sum(d[1:4].sum(axis=1) for d in blocks()) / n
-    moments = sum(np.einsum("in,jn->ij", d, d) for d in blocks(origin)) / n
-    scale, coef, coef_u = _solve(moments)
-    sq = 0.0
-    for d in blocks(origin):
-        f = np.einsum("j,jn->n", coef_u, d)
-        dist = _distance(f, coef[0], np.empty_like(f))
-        sq += np.einsum("n,n->", dist, dist)
-    rms = scale * float(np.sqrt(sq / n))
+    if n < 4:
+        raise CalibrationError("need at least 4 (X, Y, z) points")
+    d = np.empty((5, n))  # rows (|u|^2, ux, uy, uz, 1) of u = p - origin
+    d[1:4] = pts.T
+    origin = d[1:4].sum(axis=1) / n
+    d[1:4] -= origin[:, None]
+    np.einsum("in,in->n", d[1:4], d[1:4], out=d[0])
+    d[4] = 1.0
+    scale, coef, coef_u = _solve(np.einsum("in,jn->ij", d, d) / n)
+    dist = _distance(np.einsum("j,jn->n", coef_u, d), coef[0], d[0])
+    rms = scale * float(np.sqrt(np.einsum("n,n->", dist, dist) / n))
     return SphereFit(origin=origin, scale=scale, coef=coef, rms_residual=rms)
 
 
@@ -140,7 +117,10 @@ def _grid_fit(m):
     rows' and then with the columns' Vandermonde matrix.  The residual
     pass reuses both buffers: F = uz (c0 uz + c3) + G_y[row] + G_x[col].
     ``einsum`` makes the scan-sized contractions, so no BLAS call runs
-    over a whole scan (see ``_pratt``).
+    over a whole scan: on per-pixel design rows, whole-scan ``dot`` /
+    ``gemv`` cut the fit from 13 to 11 ms on a 480×640 scan, but at two
+    BLAS threads on a 2-core Xeon a shop-floor ``decide`` then took 1.36
+    to 1.58 s of CPU, not 0.79 to 0.85 s, for no gain in wall time.
     """
     holes = np.flatnonzero(~np.isfinite(m.z))  # flat indices of NaN pixels
     n = m.z.size - holes.size

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
-from bacdetect import calibration
 from bacdetect.calibration import (
     CalibrationError,
     calibrate_stage,
@@ -59,6 +58,8 @@ class TestFitSphere:
         fit = fit_sphere(np.column_stack([xy, np.full(50, 2.0)]))
         assert fit.radius > 1e9
         assert fit.rms_residual <= 1e-12
+        # a level plane has b along z alone: its center is (nan, nan, +-inf)
+        assert np.isnan(fit.center[:2]).all() and np.isinf(fit.center[2])
         t = rng.uniform(0, 2 * np.pi, 50)
         u = np.array([1.0, 0.0, 0.25]) / np.hypot(1.0, 0.25)
         v = np.array([0.0, 1.0, 0.0])
@@ -76,6 +77,17 @@ class TestFitSphere:
         with pytest.raises(CalibrationError):
             fit_sphere(np.zeros((3, 3)))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_named(self, rng, value):
+        pts = random_sphere_points(rng, 50, np.zeros(3), RADIUS_UM)
+        pts[[17, 30], 1] = value
+        with pytest.raises(CalibrationError, match="row 17 "):
+            fit_sphere(pts)
+
+    def test_wrong_shape_named(self):
+        with pytest.raises(CalibrationError, match=r"shape \(5, 2\)"):
+            fit_sphere(np.ones((5, 2)))
+
     def test_noisy_recovery_vs_nonlinear_oracle(self, rng):
         center = np.array([10.0, -5.0, 40.0])
         pts = random_sphere_points(rng, 100_000, center, RADIUS_UM, noise=0.01)
@@ -84,35 +96,6 @@ class TestFitSphere:
         c_ref, r_ref = refine_sphere(pts, np.append(fit.center, fit.radius))
         assert abs(fit.radius - r_ref) / RADIUS_UM <= 1e-5
         assert np.linalg.norm(np.array(fit.center) - c_ref) / RADIUS_UM <= 1e-5
-
-
-class TestChunkedFit:
-    """``fit_sphere`` sums over ``_CHUNK`` points at a time."""
-
-    def _fits(self, monkeypatch, points):
-        chunked = fit_sphere(points)
-        monkeypatch.setattr(calibration, "_CHUNK", len(points))
-        return chunked, fit_sphere(points)
-
-    def test_chunks_agree_with_one_block(self, rng, monkeypatch):
-        scan, _ = _textured_scan(rng, 25_000.0)  # 480 x 640: 18 chunks and a short one
-        points = scan.point_cloud()
-        assert len(points) > 10 * calibration._CHUNK
-        chunked, whole = self._fits(monkeypatch, points)
-        # c and -c are one surface, and eig may return either
-        sign = np.sign(chunked.coef @ whole.coef)
-        np.testing.assert_allclose(sign * chunked.coef, whole.coef, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(chunked.origin, whole.origin, rtol=1e-12, atol=0)
-        assert chunked.scale == pytest.approx(whole.scale, rel=1e-12, abs=0)
-        assert chunked.rms_residual == pytest.approx(whole.rms_residual, rel=1e-12, abs=0)
-
-    def test_one_chunk_is_bit_identical(self, rng, monkeypatch):
-        scan, _ = _textured_scan(rng, RADIUS_UM, rows=100, cols=150)
-        points = scan.point_cloud()
-        assert len(points) <= calibration._CHUNK
-        chunked, whole = self._fits(monkeypatch, points)
-        for name in ("origin", "scale", "coef", "rms_residual"):
-            np.testing.assert_array_equal(getattr(chunked, name), getattr(whole, name))
 
 
 def _assert_same_surface(matrix, cloud):
@@ -256,11 +239,12 @@ def _textured_scan(rng, radius, sigma=0.05, rows=480, cols=640):
 
 
 class TestFormRecovery:
+    @pytest.mark.parametrize("source", ["matrix", "cloud"])
     @pytest.mark.parametrize("radius", [25_000.0, 6_350.0, RADIUS_UM])
-    def test_rough_cap_radius_and_sa(self, rng, radius):
+    def test_rough_cap_radius_and_sa(self, rng, radius, source):
         # the Kasa fit returned R = 19.2 mm and +14% Sa on the shallow cap
         scan, sa_true = _textured_scan(rng, radius)
-        fit = fit_sphere(scan.point_cloud())
+        fit = fit_sphere(scan if source == "matrix" else scan.point_cloud())
         assert abs(fit.radius - radius) / radius <= 0.005
         out = subtract_baseline(scan, fit)
         assert abs(compute_sa(out) - sa_true) / sa_true <= 0.01
