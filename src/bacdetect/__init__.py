@@ -1,6 +1,6 @@
 """Surface-quality change detection from bearing area curves."""
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .calibration import (
     CalibrationError,
@@ -25,7 +25,6 @@ from .roughness import (
     default_grid,
     evaluate_on_grid,
     extract_bac,
-    median_sa,
 )
 from .simulation import (
     SimConfig,

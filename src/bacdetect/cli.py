@@ -1,5 +1,9 @@
 """Command-line front end: ingest, calibrate, test, report, simulate.
 
+A command that reads a stage checks it with ``open_stage``, then reads,
+cleans and calibrates one location at a time (``_read``) and reduces it, to
+its curve, its Sa or a written file, before it reads the next.
+
 Exit codes of ``decide`` are machine-readable so shop-floor scripts can
 branch without parsing the report: 0 = improvement detected, 10 =
 marginal, 20 = no improvement, 101 = error.  A usage error (an unknown
@@ -12,14 +16,16 @@ from __future__ import annotations
 import argparse
 import json
 import secrets
+import shutil
 import sys
+import tempfile
 from math import comb
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__, statcore
-from .calibration import CalibrationError, calibrate_location, calibrate_stage
+from .calibration import CalibrationError, calibrate_location
 from .decision import (
     OVERALL_DETECTED,
     OVERALL_MARGINAL,
@@ -27,17 +33,15 @@ from .decision import (
     decide,
 )
 from .permutation import PermutationConfig
-from .roughness import (
-    StageSample,
-    build_stage_sample,  # noqa: F401  bench/spans.py wraps cli.build_stage_sample
-    compute_sa,
-    default_grid,
-    evaluate_on_grid,
-    extract_bac,
-    median_sa,
-)
+from .roughness import StageSample, compute_sa, default_grid, evaluate_on_grid, extract_bac
 from .simulation import SimConfig, estimate_type2
-from .surface_io import SurfaceDataError, load_report, load_stage, open_stage, save_report
+from .surface_io import SurfaceDataError, load_report, open_stage, save_report
+
+# no command calls these three; bench/spans.py times them under their cli
+# names, so they stay importable from here
+from .calibration import calibrate_stage  # noqa: F401
+from .roughness import build_stage_sample  # noqa: F401
+from .surface_io import load_stage  # noqa: F401
 
 DEFAULT_SEED = 17041
 
@@ -145,26 +149,20 @@ def build_parser():
     return parser
 
 
-def _load_calibrated(path, skip=False):
-    rec = load_stage(path)
-    if skip:
-        return rec
-    return calibrate_stage(rec)
+def _read(stage, path, skip):
+    """One location's cleaned scan, calibrated in place unless ``skip``.
 
-
-def _stage_sample(stage, grid, skip):
-    """A checked stage's curves, one location read and reduced at a time."""
-    curves = [_location_curve(stage, f, grid, skip) for f in stage.files]
-    return StageSample(curves=np.array(curves), grid=grid, stage_id=stage.stage_id)
-
-
-def _location_curve(stage, path, grid, skip):
-    """Read, calibrate, sort and grid-evaluate one location; its scan is
-    freed on return, before the next location is read."""
+    Callers reduce it in the expression that reads it: a name bound to it
+    would hold it while the next file is read.
+    """
     m = stage.read(path)
-    if not skip:
-        calibrate_location(m)
-    return evaluate_on_grid(extract_bac(m), grid)
+    return m if skip else calibrate_location(m)
+
+
+def _curves(stage, grid, skip):
+    """A stage's (J, m) curves; each scan is freed once it is sorted."""
+    return np.array([evaluate_on_grid(extract_bac(_read(stage, f, skip)), grid)
+                     for f in stage.files])
 
 
 def _out_path(out, what):
@@ -190,28 +188,38 @@ def _emit(text, out):
 def cmd_calibrate(args):
     out = Path(args.out)
     # made before any scan is read, so an --out that cannot be made fails
-    # at once; removed again if the stage fails, so that writes nothing
+    # at once
     made = [p for p in (out, *out.parents) if not p.exists()]
     out.mkdir(parents=True, exist_ok=True)
+    # each scan is written as soon as it is calibrated, into a fresh
+    # directory in --out, and moved to its name once every scan is; a
+    # failed stage removes that directory and those made for --out, so it
+    # writes nothing and replaces no file
+    tmp = Path(tempfile.mkdtemp(prefix=".bacdetect-", dir=out))
     try:
-        rec = _load_calibrated(args.stage_dir)
-    except Exception:
+        stage = open_stage(args.stage_dir)
+        for f in stage.files:
+            np.savetxt(tmp / f"{f.stem}.csv", _read(stage, f, False).z, delimiter=",")
+        for f in stage.files:
+            (tmp / f"{f.stem}.csv").replace(out / f"{f.stem}.csv")
+    except BaseException:
+        shutil.rmtree(tmp)
         for p in made:
             p.rmdir()
         raise
-    for m in rec.locations:
-        np.savetxt(out / f"{m.location_id}.csv", m.z, delimiter=",")
-    print(f"wrote {len(rec.locations)} calibrated matrices to {out}")
+    tmp.rmdir()
+    print(f"wrote {len(stage.files)} calibrated matrices to {out}")
     return 0
 
 
 def cmd_sa(args):
     out = _out_path(args.out, "table")
-    rec = _load_calibrated(args.stage_dir, skip=args.no_calibrate)
+    stage = open_stage(args.stage_dir)
+    sas = [compute_sa(_read(stage, f, args.no_calibrate)) for f in stage.files]
     lines = ["location\tsa_um"]
-    for m in rec.locations:
-        lines.append(f"{m.location_id}\t{compute_sa(m):.6g}")
-    lines.append(f"median\t{median_sa(rec):.6g}")
+    lines += [f"{f.stem}\t{sa:.6g}" for f, sa in zip(stage.files, sas)]
+    # the median of the stage's Sa values is its Sa benchmark
+    lines.append(f"median\t{float(np.median(sas)):.6g}")
     _emit("\n".join(lines) + "\n", out)
     return 0
 
@@ -221,7 +229,7 @@ def cmd_bac(args):
         raise ValueError("confidence must lie in (0, 1)")
     grid = default_grid(m=args.grid_size, s_max=args.s_max, tau=args.tau)
     out = _out_path(args.out, "columns")
-    curves = _stage_sample(open_stage(args.stage_dir), grid, args.no_calibrate).curves
+    curves = _curves(open_stage(args.stage_dir), grid, args.no_calibrate)
     mean = curves.mean(axis=0)
     var = curves.var(axis=0, ddof=1)
     j = curves.shape[0]
@@ -246,12 +254,10 @@ def cmd_decide(args):
         finest_tool=args.finest_tool,
     )
     out = _out_path(args.out or "report.json", "report")
-    # both stages are checked before any scan is read; then each location
-    # is reduced to its curve before the next is read, so a decide holds
-    # one scan at a time
-    prev, curr = open_stage(args.prev_dir), open_stage(args.curr_dir)
-    prev = _stage_sample(prev, grid, args.no_calibrate)
-    curr = _stage_sample(curr, grid, args.no_calibrate)
+    # both stages are checked before any scan is read
+    stages = open_stage(args.prev_dir), open_stage(args.curr_dir)
+    prev, curr = (StageSample(curves=_curves(s, grid, args.no_calibrate), grid=grid,
+                              stage_id=s.stage_id) for s in stages)
     # the exact test costs no more wherever every labeling fits the budget
     j1 = len(prev.curves)
     cfg.perm.exhaustive = comb(j1 + len(curr.curves), j1) <= args.permutations

@@ -102,17 +102,11 @@ def compute_sa(matrix):
     Expects a calibrated matrix (surface baseline removed).  Non-finite
     pixels are ignored.
     """
-    z = matrix.finite_heights()
+    z = matrix.finite_heights()  # a fresh copy: deviations are formed in it
     if z.size == 0:
         raise ValueError("empty height matrix")
-    return float(np.abs(z - z.mean()).mean())
-
-
-def median_sa(record):
-    """Median of the per-location Sa values: the stage's Sa benchmark."""
-    if not record.locations:
-        raise ValueError("empty stage")
-    return float(np.median([compute_sa(m) for m in record.locations]))
+    z -= z.mean()
+    return float(np.abs(z, out=z).mean())
 
 
 def extract_bac(matrix):

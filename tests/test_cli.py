@@ -20,6 +20,7 @@ from bacdetect.cli import (
     build_parser,
     main,
 )
+from bacdetect.roughness import compute_sa
 from bacdetect.surface_io import HeightMatrix, StageRecord, SurfaceDataError, load_report
 from conftest import rough_stage, sphere_cap, write_stage_dir
 
@@ -161,6 +162,31 @@ class TestSa:
         out = tmp_path / "sa.tsv"
         assert main(["sa", str(d), "--no-calibrate", "--out", str(out)]) == 0
         assert out.read_text().startswith("location")
+
+    @staticmethod
+    def _median(tmp_path, capsys, locs):
+        """The median line's value of ``sa --no-calibrate`` on ``locs``."""
+        d = write_stage_dir(tmp_path, "s", StageRecord(stage_id="s", locations=locs))
+        assert main(["sa", str(d), "--no-calibrate"]) == 0
+        name, value = capsys.readouterr().out.splitlines()[-1].split("\t")
+        assert name == "median"
+        return value
+
+    @staticmethod
+    def _scans_of_sa(sas):
+        return [HeightMatrix(z=np.array([[s, -s], [s, -s]]), location_id=str(i))
+                for i, s in enumerate(sas)]
+
+    def test_median_of_odd_count(self, tmp_path, capsys):
+        assert float(self._median(tmp_path, capsys, self._scans_of_sa([1, 2, 3]))) == 2.0
+
+    def test_median_of_even_count(self, tmp_path, capsys):
+        assert float(self._median(tmp_path, capsys, self._scans_of_sa([1, 2, 3, 4]))) == 2.5
+
+    def test_median_of_identical_matrices(self, tmp_path, rng, capsys):
+        z = rng.standard_normal((5, 5))
+        locs = [HeightMatrix(z=z.copy(), location_id=str(i)) for i in range(4)]
+        assert self._median(tmp_path, capsys, locs) == f"{compute_sa(locs[0]):.6g}"
 
 
 class TestBac:
@@ -417,7 +443,7 @@ class TestCalibrate:
             self, tmp_path, monkeypatch, capsys):
         def unread(path):
             raise AssertionError(f"stage {path} was read")
-        monkeypatch.setattr(cli, "load_stage", unread)
+        monkeypatch.setattr(cli, "open_stage", unread)
         afile = tmp_path / "afile"
         afile.write_text("")
         out = afile / "sub"
@@ -430,11 +456,59 @@ class TestCalibrate:
             self, tmp_path, monkeypatch, capsys):
         def unreadable(path):
             raise SurfaceDataError(f"stage {path} is unreadable")
-        monkeypatch.setattr(cli, "load_stage", unreadable)
+        monkeypatch.setattr(cli, "open_stage", unreadable)
         out = tmp_path / "new" / "sub"
         assert main(["calibrate", "s1", "--out", str(out)]) == EXIT_ERROR
         assert "stage s1 is unreadable" in capsys.readouterr().err
         assert not (tmp_path / "new").exists()
+
+    @staticmethod
+    def _raw_stage(tmp_path, rng, corrupt_last=False):
+        """Five raw 60x80 cap scans with NaN pixels under the 1% limit; with
+        ``corrupt_last`` the last loses 1% of its pixels and one more."""
+        d = tmp_path / "raw"
+        d.mkdir()
+        for i in range(5):
+            cap = sphere_cap(60, 80, 0.359, 0.369, (12.0 + i, 11.0, 1700.0), 1688.0,
+                             texture=0.3 * rng.standard_normal((60, 80)))
+            n_nan = 49 if corrupt_last and i == 4 else 5
+            cap.z.flat[rng.choice(cap.z.size, n_nan, replace=False)] = np.nan
+            np.savetxt(d / f"loc{i}.csv", cap.z, delimiter=",")
+        return d
+
+    def test_failed_scan_leaves_existing_out_as_it_was(self, tmp_path, rng, capsys):
+        d = self._raw_stage(tmp_path, rng, corrupt_last=True)
+        out = tmp_path / "cal"
+        out.mkdir()
+        sentinel = b"sentinel, not a scan\n"
+        (out / "loc0.csv").write_bytes(sentinel)
+        assert main(["calibrate", str(d), "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(d / "loc4.csv") in captured.err
+        assert [p.name for p in out.iterdir()] == ["loc0.csv"]
+        assert (out / "loc0.csv").read_bytes() == sentinel
+
+    def test_failed_scan_removes_directories_made_for_out(self, tmp_path, rng, capsys):
+        d = self._raw_stage(tmp_path, rng, corrupt_last=True)
+        out = tmp_path / "new" / "cal"
+        assert main(["calibrate", str(d), "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(d / "loc4.csv") in captured.err
+        assert not (tmp_path / "new").exists()
+
+    def test_sa_of_written_scans_is_sa_of_raw_stage(self, tmp_path, rng, capsys):
+        # the files hold every bit of the calibrated heights and its NaN pixels
+        d = self._raw_stage(tmp_path, rng)
+        assert main(["sa", str(d)]) == 0
+        raw = capsys.readouterr().out
+        out = tmp_path / "cal"
+        assert main(["calibrate", str(d), "--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote 5 calibrated matrices to {out}\n"
+        assert sorted(p.name for p in out.iterdir()) == [f"loc{i}.csv" for i in range(5)]
+        assert main(["sa", str(out), "--no-calibrate"]) == 0
+        assert capsys.readouterr().out == raw
 
 
 class TestSimulate:

@@ -1,10 +1,10 @@
-"""Memory guard: a shop-floor ``decide`` holds one scan at a time.
+"""Memory guard: every command that reads a stage holds one scan at a time.
 
-Each location is read, calibrated, sorted and reduced to its curve before
-the next is read; calibration overwrites the heights it fitted, and the
-form fit sums over the pixel grid in two scan-sized buffers.  So the traced
-peak of ``decide`` on raw scans is a few scans, whatever the number of
-locations.
+Each location is read, calibrated and reduced, by ``decide`` to its curve,
+by ``sa`` to its Sa and by ``calibrate`` to a written file, before the next
+is read; calibration overwrites the heights it fitted, and the form fit
+sums over the pixel grid in two scan-sized buffers.  So the traced peak of
+each command on raw scans is a few scans, whatever the number of locations.
 """
 
 import contextlib
@@ -20,6 +20,7 @@ from conftest import sphere_cap
 
 ROWS, COLS = 240, 320
 SCAN_BYTES = ROWS * COLS * 8
+LOCATIONS = (6, 10, 16)
 
 
 def _write_raw_stage(directory, rng, j, sigma):
@@ -28,16 +29,11 @@ def _write_raw_stage(directory, rng, j, sigma):
         cap = sphere_cap(ROWS, COLS, 0.359, 0.369, (57.0 + i, 44.0, 1700.0), 1688.0,
                          texture=sigma * rng.standard_normal((ROWS, COLS)))
         np.savetxt(directory / f"loc{i:02d}.csv", cap.z, delimiter=",")
+    return directory
 
 
-def _peak_scans(tmp_path, j):
-    """tracemalloc peak of ``decide`` on j + j raw scans, in scans."""
-    rng = np.random.default_rng(j)
-    prev, curr = tmp_path / f"prev{j}", tmp_path / f"curr{j}"
-    _write_raw_stage(prev, rng, j, 0.4)
-    _write_raw_stage(curr, rng, j, 0.15)
-    argv = ["decide", str(prev), str(curr), "--grid-size", "100",
-            "--permutations", "100", "--out", str(tmp_path / f"r{j}.json")]
+def _peak_scans(argv):
+    """tracemalloc peak of one command, in scans."""
     tracemalloc.start()
     try:
         with contextlib.redirect_stdout(io.StringIO()):
@@ -51,26 +47,49 @@ def _peak_scans(tmp_path, j):
 
 @pytest.fixture(scope="module")
 def peaks(tmp_path_factory):
+    """Each command's peak on j + j raw scans, j in LOCATIONS."""
     tmp = tmp_path_factory.mktemp("memory")
-    return {j: _peak_scans(tmp, j) for j in (6, 10, 16)}
+    peaks = {"decide": {}, "sa": {}, "calibrate": {}}
+    for j in LOCATIONS:
+        rng = np.random.default_rng(j)
+        prev = _write_raw_stage(tmp / f"prev{j}", rng, j, 0.4)
+        curr = _write_raw_stage(tmp / f"curr{j}", rng, j, 0.15)
+        peaks["decide"][j] = _peak_scans(
+            ["decide", str(prev), str(curr), "--grid-size", "100",
+             "--permutations", "100", "--out", str(tmp / f"r{j}.json")])
+        peaks["sa"][j] = _peak_scans(["sa", str(prev)])
+        peaks["calibrate"][j] = _peak_scans(
+            ["calibrate", str(prev), "--out", str(tmp / f"cal{j}")])
+    return peaks
 
 
-@pytest.mark.parametrize("j", [6, 10, 16])
+@pytest.mark.parametrize("j", LOCATIONS)
 def test_decide_peak_is_one_stage_of_scans(peaks, j):
-    assert peaks[j] <= j + 8, peaks
+    assert peaks["decide"][j] <= j + 8, peaks
 
 
 def test_decide_peak_grows_by_one_scan_per_location(peaks):
-    assert peaks[10] - peaks[6] <= 6, peaks
+    assert peaks["decide"][10] - peaks["decide"][6] <= 6, peaks
 
 
-@pytest.mark.parametrize("j", [6, 10, 16])
+@pytest.mark.parametrize("j", LOCATIONS)
 def test_decide_peak_is_a_few_scans(peaks, j):
-    assert peaks[j] <= 4, peaks
+    assert peaks["decide"][j] <= 4, peaks
 
 
 def test_decide_peak_does_not_grow_with_locations(peaks):
-    assert peaks[16] - peaks[6] <= 1, peaks
+    assert peaks["decide"][16] - peaks["decide"][6] <= 1, peaks
+
+
+@pytest.mark.parametrize("command", ["sa", "calibrate"])
+@pytest.mark.parametrize("j", LOCATIONS)
+def test_peak_is_a_few_scans(peaks, command, j):
+    assert peaks[command][j] <= 4, peaks
+
+
+@pytest.mark.parametrize("command", ["sa", "calibrate"])
+def test_peak_does_not_grow_with_locations(peaks, command):
+    assert peaks[command][16] - peaks[command][6] <= 1, peaks
 
 
 def test_fit_holds_two_scans_beside_its_scan():

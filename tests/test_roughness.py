@@ -14,9 +14,8 @@ from bacdetect.roughness import (
     default_grid,
     evaluate_on_grid,
     extract_bac,
-    median_sa,
 )
-from bacdetect.surface_io import HeightMatrix, StageRecord
+from bacdetect.surface_io import HeightMatrix
 from conftest import rough_stage
 
 
@@ -51,24 +50,18 @@ class TestComputeSa:
         ref = np.abs(z2[np.isfinite(z2)] - np.nanmean(z2)).mean()
         assert sa == pytest.approx(ref, abs=1e-12)
 
-
-class TestMedianSa:
-    def _stage(self, sas):
-        locs = [HeightMatrix(z=np.array([[s, -s], [s, -s]]), location_id=str(i))
-                for i, s in enumerate(sas)]
-        return StageRecord(stage_id="s", locations=locs)
-
-    def test_odd_count(self):
-        assert median_sa(self._stage([1, 2, 3])) == 2.0
-
-    def test_even_count(self):
-        assert median_sa(self._stage([1, 2, 3, 4])) == 2.5
-
-    def test_identical_matrices(self, rng):
-        z = rng.standard_normal((5, 5))
-        locs = [HeightMatrix(z=z.copy(), location_id=str(i)) for i in range(4)]
-        rec = StageRecord(stage_id="s", locations=locs)
-        assert median_sa(rec) == pytest.approx(compute_sa(locs[0]), abs=1e-12)
+    @pytest.mark.parametrize("offset", [0.0, 1e5])
+    @pytest.mark.parametrize("seed", range(20))
+    def test_in_place_deviations_are_bit_identical(self, seed, offset):
+        # the deviations are formed in the copy's own buffer: the same
+        # float operations as the out-of-place expression, so the same bits
+        rng = np.random.default_rng(seed)
+        rows, cols = rng.integers(1, 60, size=2)
+        z = offset + rng.uniform(0.1, 10.0) * rng.standard_normal((rows, cols))
+        # any number of NaN pixels but all
+        z.flat[rng.choice(z.size, rng.integers(0, z.size), replace=False)] = np.nan
+        finite = z[np.isfinite(z)]
+        assert compute_sa(HeightMatrix(z=z)) == float(np.abs(finite - finite.mean()).mean())
 
 
 class TestExtractBac:
