@@ -198,6 +198,10 @@ def cmd_calibrate(args):
     tmp = Path(tempfile.mkdtemp(prefix=".bacdetect-", dir=out))
     try:
         stage = open_stage(args.stage_dir)
+        # a directory in the way would fail its move after earlier files
+        # were replaced, so every name is checked before any scan is read
+        for f in stage.files:
+            _out_path(out / f"{f.stem}.csv", "a calibrated matrix")
         for f in stage.files:
             np.savetxt(tmp / f"{f.stem}.csv", _read(stage, f, False).z, delimiter=",")
         for f in stage.files:

@@ -19,6 +19,7 @@ from .permutation import (
     FamilyTestResult,
     PermutationConfig,
     PointwiseTest,
+    shared_draws,
     westfall_young,
 )
 from .roughness import QuantileGrid, default_grid
@@ -204,12 +205,13 @@ def decide(prev, curr, cfg):
     p_values = []
     # every family draws the same relabelings, as the Bonferroni split
     # holds whatever the dependence between them
-    for name, (test, kind, _, domain) in FAMILIES.items():
-        res = westfall_young(prev.curves, curr.curves, replace(test, pooled=cfg.pooled),
-                             kind, cfg.perm, domain(cfg.grid))
-        p_values.append(res.corrected_p)
-        band = band_p_value(res.corrected_p, cfg.alpha)
-        outcomes[name] = FamilyOutcome(result=res, verdict=_verdict(name, band))
+    with shared_draws():
+        for name, (test, kind, _, domain) in FAMILIES.items():
+            res = westfall_young(prev.curves, curr.curves, replace(test, pooled=cfg.pooled),
+                                 kind, cfg.perm, domain(cfg.grid))
+            p_values.append(res.corrected_p)
+            band = band_p_value(res.corrected_p, cfg.alpha)
+            outcomes[name] = FamilyOutcome(result=res, verdict=_verdict(name, band))
     overall = combine_families(*p_values, cfg.alpha)
     provenance = {
         "seed": cfg.perm.seed,

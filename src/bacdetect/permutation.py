@@ -8,6 +8,8 @@ the observed family statistic within its permutation null distribution.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from math import comb
 from numbers import Integral
@@ -40,6 +42,10 @@ _CHUNK = 16
 
 # refuse to enumerate more label assignments than this or the sampled budget
 _MAX_EXHAUSTIVE = 500_000
+
+# a block is a pure function of its key: the blocks drawn in the innermost
+# ``shared_draws`` scope, by key, or None outside one
+_DRAWN = ContextVar("drawn", default=None)
 
 
 @dataclass(frozen=True)
@@ -92,10 +98,28 @@ def _members(picks, j_total):
     return members
 
 
+@contextmanager
+def shared_draws():
+    """Draw each sampled block once, read-only, for the calls in this scope."""
+    token = _DRAWN.set({})
+    try:
+        yield
+    finally:
+        _DRAWN.reset(token)
+
+
 def _batch_relabelings(seed, block, count, j_total, j1):
     """Membership matrix for the first ``count`` permutations of ``block``."""
+    drawn = _DRAWN.get()
+    key = (seed, block, count, j_total, j1)
+    if drawn is not None and key in drawn:
+        return drawn[key]
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, block], dtype=np.uint64)))
-    return _lowest_members(rng.random((count, j_total)), j1)
+    members = _lowest_members(rng.random((count, j_total)), j1)
+    if drawn is not None:
+        members.flags.writeable = False
+        drawn[key] = members
+    return members
 
 
 def _lowest_members(u, j1):
@@ -182,12 +206,14 @@ def _chunk_edges(m, kind):
 
     Chunks grow as ``_CHUNK``, 2 ``_CHUNK``, 4 ``_CHUNK``, ... columns, with
     one more edge at m // 2 + 1, the first count at which a medP row can
-    settle.  No chunk is one column wide unless m == 1: a one-column
-    product takes BLAS's matrix-vector path, which rounds otherwise.
+    settle.  A domain of at most 2 ``_CHUNK`` columns gets no growing edge:
+    there one more tile costs more than the rows it settles early save.
+    No chunk is one column wide unless m == 1: a one-column product takes
+    BLAS's matrix-vector path, which rounds otherwise.
     """
     edges = {m, m // 2 + 1} if kind == "medP" else {m}
     e, w = _CHUNK, _CHUNK
-    while e < m:
+    while 2 * _CHUNK < m and e < m:
         edges.add(e)
         w *= 2
         e += w
@@ -250,8 +276,8 @@ def _block_counts(xd, sums, blocks, j1, j2, test, kind, cut):
         hits = np.zeros(len(block), dtype=np.intp)
         rows = np.arange(len(block))
         for done, xc, sc in chunks:
-            step = max(1, _TILE // xc.shape[1])
-            for tile in np.array_split(rows, -(-len(rows) // step)):
+            tiles = -(-len(rows) // max(1, _TILE // xc.shape[1]))
+            for tile in np.array_split(rows, tiles) if tiles > 1 else (rows,):
                 stat, degenerate, bounds, pvalue = _statistic(
                     xc, sc, block[_two_rows(tile)], j1, j2, test)
                 limits = limits or bounds(cut)

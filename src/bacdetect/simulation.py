@@ -16,7 +16,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .decision import FAMILIES
-from .permutation import PermutationConfig, westfall_young
+from .permutation import PermutationConfig, shared_draws, westfall_young
 from .roughness import EmptyTailError, QuantileGrid
 
 # Cholesky jitter escalation, relative to sigma_f^2
@@ -143,8 +143,9 @@ def run_tail_tests(x, prev, curr, tau, perm_cfg):
     """
     grid = QuantileGrid(points=x, tau=tau)
     tails = (FAMILIES["upper_tail"], FAMILIES["lower_tail"])
-    return tuple(westfall_young(prev, curr, test, kind, perm_cfg, domain(grid))
-                 for test, kind, _, domain in tails)
+    with shared_draws():
+        return tuple(westfall_young(prev, curr, test, kind, perm_cfg, domain(grid))
+                     for test, kind, _, domain in tails)
 
 
 def estimate_type2(cfg):

@@ -98,8 +98,10 @@ def mean_test(mean1, var1, j1, mean2, var2, j2, direction, pooled=False):
     """
     if direction not in ("greater", "less"):
         raise ValueError("direction must be 'greater' or 'less'")
-    mean1, var1, mean2, var2 = np.broadcast_arrays(
-        *(np.asarray(a, dtype=float) for a in (mean1, var1, mean2, var2)))
+    args = [np.asarray(a, dtype=float) for a in (mean1, var1, mean2, var2)]
+    if len({a.shape for a in args}) > 1:
+        args = np.broadcast_arrays(*args)
+    mean1, var1, mean2, var2 = args
     # formed in place: every temporary is a pass over a batch-sized array
     diff = np.asarray(mean1 - mean2)
     if direction == "less":

@@ -11,6 +11,21 @@ def rng():
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def philox_keys(monkeypatch):
+    """The (seed, block) keys of the Philox generators made during a test."""
+    philox = np.random.Philox
+    keys = []
+
+    def counted(*args, key=None, **kwargs):
+        if key is not None:
+            keys.append(tuple(int(k) for k in key))
+        return philox(*args, key=key, **kwargs)
+
+    monkeypatch.setattr(np.random, "Philox", counted)
+    return keys
+
+
 def rough_stage(rng, stage_id, n_loc=6, rows=24, cols=30, scale=1.0, shift=0.0):
     """A stage of already-calibrated matrices: iid Gaussian roughness."""
     locations = [

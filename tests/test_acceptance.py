@@ -33,7 +33,12 @@ from bacdetect.decision import (
     OVERALL_NONE,
     combine_families,
 )
-from bacdetect.permutation import PermutationConfig, PointwiseTest, westfall_young
+from bacdetect.permutation import (
+    PermutationConfig,
+    PointwiseTest,
+    shared_draws,
+    westfall_young,
+)
 from bacdetect.roughness import compute_sa
 from bacdetect.simulation import (
     SimConfig,
@@ -96,10 +101,12 @@ def test_criterion_2_fwer_control():
         rng = np.random.Generator(np.random.Philox(
             np.random.SeedSequence(entropy=2024, spawn_key=(r,))))
         _, _, g1, g2 = sample_gp_groups(cfg, rng)
-        # one cfg for every kind: the same relabelings rank each reduction
+        # one cfg for every kind: the same relabelings rank each reduction,
+        # drawn once per replicate
         perm = PermutationConfig(n_permutations=2000, seed=r)
-        for kind in KINDS:
-            hits[kind] += westfall_young(g1, g2, test, kind, perm).corrected_p <= 0.05
+        with shared_draws():
+            for kind in KINDS:
+                hits[kind] += westfall_young(g1, g2, test, kind, perm).corrected_p <= 0.05
     bound = 0.05 + 3 * np.sqrt(0.05 * 0.95 / reps)
     rates = {k: hits[k] / reps for k in KINDS}
     ok = all(rate <= bound for rate in rates.values())

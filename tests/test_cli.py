@@ -463,15 +463,15 @@ class TestCalibrate:
         assert not (tmp_path / "new").exists()
 
     @staticmethod
-    def _raw_stage(tmp_path, rng, corrupt_last=False):
-        """Five raw 60x80 cap scans with NaN pixels under the 1% limit; with
-        ``corrupt_last`` the last loses 1% of its pixels and one more."""
+    def _raw_stage(tmp_path, rng, corrupt_last=False, count=5):
+        """``count`` raw 60x80 cap scans with NaN pixels under the 1% limit;
+        with ``corrupt_last`` the last loses 1% of its pixels and one more."""
         d = tmp_path / "raw"
         d.mkdir()
-        for i in range(5):
+        for i in range(count):
             cap = sphere_cap(60, 80, 0.359, 0.369, (12.0 + i, 11.0, 1700.0), 1688.0,
                              texture=0.3 * rng.standard_normal((60, 80)))
-            n_nan = 49 if corrupt_last and i == 4 else 5
+            n_nan = 49 if corrupt_last and i == count - 1 else 5
             cap.z.flat[rng.choice(cap.z.size, n_nan, replace=False)] = np.nan
             np.savetxt(d / f"loc{i}.csv", cap.z, delimiter=",")
         return d
@@ -488,6 +488,31 @@ class TestCalibrate:
         assert str(d / "loc4.csv") in captured.err
         assert [p.name for p in out.iterdir()] == ["loc0.csv"]
         assert (out / "loc0.csv").read_bytes() == sentinel
+
+    def test_directory_in_the_way_rejected_before_any_scan_is_read(
+            self, tmp_path, rng, monkeypatch, capsys):
+        d = self._raw_stage(tmp_path, rng, count=3)
+        out = tmp_path / "cal"
+        out.mkdir()
+        sentinel = b"sentinel, not a scan\n"
+        (out / "loc0.csv").write_bytes(sentinel)
+        (out / "loc1.csv").mkdir()
+        reads = []
+        read = cli._read
+
+        def counted(stage, path, skip):
+            reads.append(path)
+            return read(stage, path, skip)
+
+        monkeypatch.setattr(cli, "_read", counted)
+        assert main(["calibrate", str(d), "--out", str(out)]) == EXIT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(out / "loc1.csv") in captured.err and "directory" in captured.err
+        assert reads == []
+        assert sorted(p.name for p in out.iterdir()) == ["loc0.csv", "loc1.csv"]
+        assert (out / "loc0.csv").read_bytes() == sentinel
+        assert not any((out / "loc1.csv").iterdir())
 
     def test_failed_scan_removes_directories_made_for_out(self, tmp_path, rng, capsys):
         d = self._raw_stage(tmp_path, rng, corrupt_last=True)

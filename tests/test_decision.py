@@ -167,6 +167,11 @@ class TestDecide:
         decide(*_null_pair(rng, grid), cfg)
         assert seeds == [cfg.perm.seed] * len(FAMILIES)
 
+    def test_each_block_drawn_once(self, rng, grid, philox_keys):
+        cfg = DecisionConfig(grid=grid, perm=PermutationConfig(n_permutations=1100, seed=3))
+        decide(*_null_pair(rng, grid), cfg)
+        assert philox_keys == [(3, 0), (3, 1), (3, 2)]
+
     def test_p_exact_in_record_rounded_in_report(self, rng, grid):
         # most counts k give a k / 300 with more than 6 significant digits
         cfg = DecisionConfig(grid=grid, perm=PermutationConfig(n_permutations=300, seed=3))

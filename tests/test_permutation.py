@@ -25,6 +25,7 @@ from bacdetect.permutation import (
     _members,
     _pooled_sums,
     _spread_order,
+    shared_draws,
     westfall_young,
 )
 from bacdetect.statcore import mean_test, variance_test
@@ -169,6 +170,43 @@ class TestDrawRelabeling:
         with pytest.raises(ValueError):
             westfall_young(np.empty((0, 10)), g2, PointwiseTest(kind="mean"), "minP",
                            PermutationConfig(n_permutations=10))
+
+
+class TestSharedDraws:
+    """``shared_draws``: each block drawn once in the scope, none kept after it."""
+
+    def test_block_drawn_in_scope_is_read_only(self):
+        with shared_draws():
+            block = _batch_relabelings(3, 1, 300, 9, 4)
+            assert _batch_relabelings(3, 1, 300, 9, 4) is block
+            assert not block.flags.writeable
+            with pytest.raises(ValueError):
+                block[0, 0] = True
+        assert np.array_equal(_batch_relabelings(3, 1, 300, 9, 4), block)
+        assert _batch_relabelings(3, 1, 300, 9, 4).flags.writeable
+
+    def test_blocks_drawn_again_after_the_scope(self, rng, philox_keys):
+        g1, g2 = _toy_groups(rng, j1=5, j2=4, m=40)
+        test = PointwiseTest(kind="mean", direction="greater")
+        cfg = PermutationConfig(n_permutations=2 * _DRAW_BLOCK + 10, seed=4)
+        blocks = [(4, 0), (4, 1), (4, 2)]
+        with shared_draws():
+            westfall_young(g1, g2, test, "maxP", cfg)
+            westfall_young(g1, g2, test, "medP", cfg)
+        assert philox_keys == blocks
+        westfall_young(g1, g2, test, "maxP", cfg)
+        with shared_draws():
+            westfall_young(g1, g2, test, "maxP", cfg)
+        assert philox_keys == blocks * 3
+
+    def test_same_results_in_and_out_of_the_scope(self, rng):
+        g1, g2 = _toy_groups(rng, j1=6, j2=5, m=50, shift=0.3)
+        cfg = PermutationConfig(n_permutations=3 * _DRAW_BLOCK - 7, seed=11)
+        calls = [(test, kind) for test in PINNED_TESTS.values() for kind in _REDUCE]
+        outside = [westfall_young(g1, g2, test, kind, cfg) for test, kind in calls]
+        with shared_draws():
+            inside = [westfall_young(g1, g2, test, kind, cfg) for test, kind in calls]
+        assert inside == outside
 
 
 def _toy_groups(rng, j1=4, j2=4, m=30, shift=0.0):
@@ -544,6 +582,13 @@ def test_chunk_edges():
     assert _chunk_edges(1000, "maxP") == [0, 16, 48, 112, 240, 496, 1000]
     assert _chunk_edges(1000, "medP") == [0, 16, 48, 112, 240, 496, 501, 1000]
     assert _chunk_edges(1, "medP") == [0, 1]
+    # a domain of at most 2 _CHUNK columns is one chunk, bar the medP edge
+    assert _chunk_edges(25, "maxP") == [0, 25]
+    assert _chunk_edges(25, "medP") == [0, 13, 25]
+    assert _chunk_edges(32, "maxP") == [0, 32]
+    assert _chunk_edges(32, "medP") == [0, 17, 32]
+    assert _chunk_edges(33, "maxP") == [0, 16, 33]
+    assert _chunk_edges(33, "medP") == [0, 17, 33]
     for m in range(2, 1100):
         for kind in _REDUCE:
             edges = _chunk_edges(m, kind)

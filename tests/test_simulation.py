@@ -234,6 +234,13 @@ class TestEstimateType2:
         assert len(set(seeds)) == 8
 
 
+def test_tail_tests_draw_each_block_once(rng, philox_keys):
+    x = np.sort(rng.uniform(0.0, 1.0, 40))
+    prev, curr = rng.standard_normal((2, 5, x.size))
+    simulation.run_tail_tests(x, prev, curr, 0.2, PermutationConfig(n_permutations=600, seed=8))
+    assert philox_keys == [(8, 0), (8, 1)]
+
+
 def test_decide_and_tail_tests_make_the_same_family_calls(monkeypatch, rng):
     # the simulation's tail tests are the decision's tail families on a
     # grid of the run's points: same test, statistic, stream and domain
